@@ -65,18 +65,6 @@ const char* AugmentationMethodName(AugmentationMethod method) {
   return "?";
 }
 
-const char* FeaturizeModeName(features::FeaturizeMode mode) {
-  switch (mode) {
-    case features::FeaturizeMode::kScalar:
-      return "scalar";
-    case features::FeaturizeMode::kDict:
-      return "dict";
-    case features::FeaturizeMode::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
 Status SagedConfig::Validate() const {
   if (cosine_threshold < 0.0 || cosine_threshold > 1.0) {
     return Status::InvalidArgument(StrFormat(
@@ -107,11 +95,6 @@ Status SagedConfig::Validate() const {
   }
   if (w2v.dim == 0) {
     return Status::InvalidArgument("w2v.dim must be > 0");
-  }
-  if (featurize_dict_ratio < 0.0 || featurize_dict_ratio > 1.0) {
-    return Status::InvalidArgument(StrFormat(
-        "featurize_dict_ratio must be in [0, 1], got %g",
-        featurize_dict_ratio));
   }
   return Status::OK();
 }
@@ -152,8 +135,6 @@ uint64_t ConfigContentHash(const SagedConfig& config) {
   u64(config.use_metadata_features);
   u64(config.use_w2v_features);
   u64(config.use_tfidf_features);
-  u64(static_cast<uint64_t>(config.featurize_mode));
-  f64(config.featurize_dict_ratio);
   u64(config.featurize_simd);
   u64(config.detect_threads);
   u64(config.extract_threads);
@@ -166,8 +147,6 @@ features::FeaturizeOptions MakeFeaturizeOptions(const SagedConfig& config) {
   features::FeaturizeOptions options;
   options.toggles = {config.use_metadata_features, config.use_w2v_features,
                      config.use_tfidf_features};
-  options.mode = config.featurize_mode;
-  options.dict_max_distinct_ratio = config.featurize_dict_ratio;
   return options;
 }
 

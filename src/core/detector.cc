@@ -1,6 +1,8 @@
 #include "core/detector.h"
 
 #include <algorithm>
+#include <atomic>
+#include <optional>
 #include <span>
 
 #include "common/rng.h"
@@ -17,20 +19,122 @@
 #include "features/frozen_stats.h"
 #include "features/kernels.h"
 #include "features/metadata_profiler.h"
-#include "features/signature.h"
 #include "text/tokenizer.h"
 
 namespace saged::core {
+
+/// The online driver's input: the dirty data as blocks of consecutive rows,
+/// in row order, each block one cell span per column. The driver reads the
+/// source twice (scan, then inference), rewinding in between.
+class BlockSource {
+ public:
+  struct Block {
+    size_t first_row = 0;
+    size_t rows = 0;
+    std::vector<std::span<const Cell>> columns;
+  };
+
+  virtual ~BlockSource() = default;
+
+  /// (Re)starts at the first row; column_names() is valid afterwards.
+  virtual Status Rewind() = 0;
+  /// Fills `block` with the next rows, or returns false at the end. The
+  /// spans stay valid until the next call.
+  virtual Result<bool> Next(Block* block) = 0;
+
+  const std::vector<std::string>& column_names() const { return names_; }
+
+ protected:
+  std::vector<std::string> names_;
+};
 
 namespace {
 
 /// Salt of the detection-phase RNG stream (decoupled from extraction).
 constexpr uint64_t kDetectRngSalt = 0xD1B54A32D192ED03ULL;
 
-/// Salt of the Word2Vec corpus reservoir. Both online paths build the
-/// corpus through a DocumentReservoir seeded with this, so the sampled
-/// documents depend only on the row stream — never on blocking.
+/// Salt of the Word2Vec corpus reservoir. The driver builds the corpus
+/// through a DocumentReservoir seeded with this, so the sampled documents
+/// depend only on the row stream — never on blocking.
 constexpr uint64_t kReservoirSalt = 0x9E3779B97F4A7C15ULL;
+
+/// An in-memory table as exactly one block of spans over the table's own
+/// column storage: no cell is ever copied.
+class TableSource final : public BlockSource {
+ public:
+  explicit TableSource(const Table& table) : table_(table) {
+    for (size_t j = 0; j < table.NumCols(); ++j) {
+      names_.push_back(table.column(j).name());
+    }
+  }
+
+  Status Rewind() override {
+    done_ = false;
+    return Status::OK();
+  }
+  Result<bool> Next(Block* block) override {
+    if (done_) return false;
+    done_ = true;
+    block->first_row = 0;
+    block->rows = table_.NumRows();
+    block->columns.clear();
+    for (size_t j = 0; j < table_.NumCols(); ++j) {
+      block->columns.emplace_back(table_.column(j).values());
+    }
+    return true;
+  }
+
+ private:
+  const Table& table_;
+  bool done_ = false;
+};
+
+/// A CSV file streamed through CsvBlockReader, which holds one raw chunk
+/// plus one decoded block. Every Rewind re-opens the file; a re-read must
+/// see the header and row count of the pass before it, else IoError.
+class CsvSource final : public BlockSource {
+ public:
+  CsvSource(std::string path, const DetectionOptions& options)
+      : path_(std::move(path)), options_(options) {}
+
+  Status Rewind() override {
+    if (reader_.has_value()) expected_rows_ = reader_->rows_read();
+    reader_.emplace(path_, options_.block_rows, CsvOptions{},
+                    options_.chunk_bytes);
+    SAGED_RETURN_NOT_OK(reader_->Open());
+    if (expected_rows_.has_value() && reader_->column_names() != names_) {
+      return Changed();
+    }
+    names_ = reader_->column_names();
+    return Status::OK();
+  }
+  Result<bool> Next(Block* block) override {
+    SAGED_ASSIGN_OR_RETURN(bool more, reader_->Next(&csv_block_));
+    if (expected_rows_.has_value() &&
+        (more ? csv_block_.first_row + csv_block_.rows() > *expected_rows_
+              : reader_->rows_read() != *expected_rows_)) {
+      return Changed();
+    }
+    if (!more) return false;
+    block->first_row = csv_block_.first_row;
+    block->rows = csv_block_.rows();
+    block->columns.assign(csv_block_.columns.begin(),
+                          csv_block_.columns.end());
+    return true;
+  }
+
+ private:
+  Status Changed() const {
+    return Status::IoError("'" + path_ + "' changed between passes");
+  }
+
+  std::string path_;
+  DetectionOptions options_;
+  std::optional<CsvBlockReader> reader_;
+  CsvBlock csv_block_;
+  /// Rows the previous pass read; set from the second pass on.
+  std::optional<size_t> expected_rows_;
+};
 
 }  // namespace
 
@@ -59,14 +163,17 @@ Result<DetectionResult> Saged::Run(const DetectionRequest& request) {
     return Status::InvalidArgument(
         "knowledge base is empty; call AddHistoricalDataset first");
   }
-  if (request.has_csv()) {
-    if (request.options().stream) {
-      return DetectStreamed(config, request);
-    }
-    SAGED_ASSIGN_OR_RETURN(Table table, ReadCsv(request.csv_path()));
-    return DetectInMemory(config, request, table);
+  if (!request.has_csv()) {
+    TableSource source(request.table());
+    return DetectBlocks(config, request, source);
   }
-  return DetectInMemory(config, request, request.table());
+  if (request.options().stream) {
+    CsvSource source(request.csv_path(), request.options());
+    return DetectBlocks(config, request, source);
+  }
+  SAGED_ASSIGN_OR_RETURN(Table table, ReadCsv(request.csv_path()));
+  TableSource source(table);
+  return DetectBlocks(config, request, source);
 }
 
 Status Saged::CheckOracleShape(const DetectionRequest& request, size_t rows,
@@ -95,195 +202,86 @@ Result<DetectionResult> Saged::DetectStream(const std::string& csv_path,
   return Run(DetectionRequest::ForCsv(csv_path, oracle, streamed));
 }
 
-Result<DetectionResult> Saged::DetectInMemory(const SagedConfig& config,
-                                              const DetectionRequest& request,
-                                              const Table& dirty) {
-  if (dirty.NumRows() == 0 || dirty.NumCols() == 0) {
-    return Status::InvalidArgument("empty dirty table");
-  }
-  SAGED_RETURN_NOT_OK(
-      CheckOracleShape(request, dirty.NumRows(), dirty.NumCols()));
-  const OracleFn& oracle = request.oracle();
-
+Result<DetectionResult> Saged::DetectBlocks(const SagedConfig& config,
+                                            const DetectionRequest& request,
+                                            BlockSource& source) {
   StopWatch watch;
   SAGED_TRACE_SPAN("detect");
   SAGED_COUNTER_INC("detect.runs");
   features::kernels::SetSimdEnabled(config.featurize_simd);
   Rng rng(config.seed ^ kDetectRngSalt);
-  const size_t rows = dirty.NumRows();
-  const size_t cols = dirty.NumCols();
-  SAGED_COUNTER_ADD("detect.cells", rows * cols);
+  const size_t threads = config.detect_threads;
 
-  // 1. Matcher over the knowledge base (lines 1-4 of Figure 3).
-  SAGED_ASSIGN_OR_RETURN(auto matcher, [&] {
-    SAGED_TRACE_SPAN("detect/match/build_matcher");
-    return MakeMatcher(config, &kb_);
-  }());
-
-  // 2. Dataset-level Word2Vec for the dirty data's feature extraction. The
-  //    corpus goes through the same seeded reservoir as the streaming path
-  //    (the identity for tables within the document cap).
+  // 1. Scan: freeze per-column statistics (metadata profile, TF-IDF corpus,
+  //    type, matcher signature) and fill the Word2Vec corpus reservoir.
+  //    Nothing but the accumulators outlives a block.
+  SAGED_RETURN_NOT_OK(source.Rewind());
+  const std::vector<std::string> names = source.column_names();
+  const size_t cols = names.size();
+  if (cols == 0) return Status::InvalidArgument("empty dirty table");
+  std::vector<features::ColumnStatsBuilder> builders(cols);
   text::DocumentReservoir reservoir(config.w2v.max_documents,
                                     config.seed ^ kReservoirSalt);
-  for (size_t r = 0; r < rows; ++r) {
-    reservoir.Add(text::TupleTokens(dirty.Row(r)));
-  }
-  text::Word2Vec w2v(config.w2v, config.seed);
-  {
-    SAGED_TRACE_SPAN("detect/featurize/train_w2v");
-    SAGED_RETURN_NOT_OK(w2v.Train(reservoir.Take()));
-  }
-
-  // 3. Per column: featurize (lines 5-10), run B_rel to build meta-features
-  //    (lines 11-13). Column feature matrices are transient; only the narrow
-  //    meta-features stay resident.
-  DetectionResult result{ErrorMask(rows, cols), 0.0, 0, {}, {}};
-  result.diagnostics.resize(cols);
-  features::ColumnFeaturizer featurizer(&w2v, &kb_.char_space(),
-                                        MakeFeaturizeOptions(config));
-  std::vector<ml::Matrix> meta(cols);
-  std::vector<size_t> vote_cols(cols, 0);  // model-probability block widths
-  {
-    // Columns are independent here (matching, featurization, base-model
-    // inference touch only immutable shared state), so fan them out over
-    // the shared executor. Results land in per-column slots: bit-identical
-    // to the sequential order.
-    std::vector<Status> column_status(cols);
-    auto process_column = [&](size_t j) {
-      std::vector<size_t> models;
-      {
-        SAGED_TRACE_SPAN("detect/match");
-        auto signature = features::ColumnSignature(dirty.column(j));
-        models = matcher->Match(signature);
-      }
-      // Pin the matched base models for this column's inference. On a
-      // lazily-backed knowledge base (kb::ShardStore) this hydrates the
-      // missing shards; concurrent columns share the store's internal
-      // synchronization. In-memory knowledge bases return a null lease.
-      Result<ModelLease> lease = kb_.AcquireModels(models);
-      if (!lease.ok()) {
-        column_status[j] = lease.status();
-        return;
-      }
-      result.diagnostics[j].column = dirty.column(j).name();
-      for (size_t m : models) {
-        result.diagnostics[j].matched_sources.push_back(
-            kb_.entries()[m].dataset + "." + kb_.entries()[m].column);
-      }
-      Result<ml::Matrix> features = [&] {
-        SAGED_TRACE_SPAN("detect/featurize");
-        return featurizer.Featurize(dirty.column(j));
-      }();
-      if (!features.ok()) {
-        column_status[j] = features.status();
-        return;  // every other column still gets a verdict
-      }
-      size_t metadata_cols = config.meta_include_cell_metadata
-                                 ? features::MetadataProfiler::kWidth
-                                 : 0;
-      auto meta_j = [&] {
-        SAGED_TRACE_SPAN("detect/meta_features");
-        // Nested fan-out: when fewer columns than workers are in flight,
-        // the matched base models' inference overlaps too.
-        return BuildMetaFeatures(*features, kb_, models, metadata_cols,
-                                 executor_, config.detect_threads);
-      }();
-      if (!meta_j.ok()) {
-        column_status[j] = meta_j.status();
-        return;
-      }
-      meta[j] = std::move(meta_j).value();
-      vote_cols[j] = models.size();
-    };
-    executor_->ParallelFor(cols, process_column, config.detect_threads);
-    for (const auto& status : column_status) {
-      SAGED_RETURN_NOT_OK(status);
-    }
-    for (size_t j = 0; j < cols; ++j) {
-      result.matched_models.push_back(result.diagnostics[j].matched_sources.size());
-    }
-  }
-  SAGED_GAUGE_SAMPLE_RSS("detect.rss_bytes");
-
-  SAGED_RETURN_NOT_OK(
-      FinishDetection(config, meta, vote_cols, oracle, rng, &result));
-  result.seconds = watch.Seconds();
-  return result;
-}
-
-Result<DetectionResult> Saged::DetectStreamed(const SagedConfig& config,
-                                              const DetectionRequest& request) {
-  const std::string& csv_path = request.csv_path();
-  const OracleFn& oracle = request.oracle();
-  const DetectionOptions& options = request.options();
-  StopWatch watch;
-  SAGED_TRACE_SPAN("detect_stream");
-  SAGED_COUNTER_INC("detect.runs");
-  SAGED_COUNTER_INC("detect.stream_runs");
-  features::kernels::SetSimdEnabled(config.featurize_simd);
-  Rng rng(config.seed ^ kDetectRngSalt);
-
-  // Pass 1 (streaming): freeze per-column statistics and fill the Word2Vec
-  // corpus reservoir. Nothing but the accumulators outlives a block.
-  std::vector<features::ColumnStatsBuilder> builders;
-  text::DocumentReservoir reservoir(config.w2v.max_documents,
-                                    config.seed ^ kReservoirSalt);
-  std::vector<std::string> names;
   size_t rows = 0;
-  size_t cols = 0;
   {
-    SAGED_TRACE_SPAN("detect_stream/scan_stats");
-    CsvBlockReader reader(csv_path, options.block_rows, {},
-                          options.chunk_bytes);
-    SAGED_RETURN_NOT_OK(reader.Open());
-    names = reader.column_names();
-    cols = names.size();
-    if (cols == 0) return Status::InvalidArgument("empty dirty table");
-    builders.resize(cols);
-    CsvBlock block;
+    SAGED_TRACE_SPAN("detect/scan_stats");
+    BlockSource::Block block;
     std::vector<Cell> row_cells(cols);
     while (true) {
-      SAGED_ASSIGN_OR_RETURN(bool more, reader.Next(&block));
+      SAGED_ASSIGN_OR_RETURN(bool more, source.Next(&block));
       if (!more) break;
-      for (size_t j = 0; j < cols; ++j) {
-        for (const auto& cell : block.columns[j]) builders[j].Observe(cell);
-      }
-      for (size_t i = 0; i < block.rows(); ++i) {
-        for (size_t j = 0; j < cols; ++j) row_cells[j] = block.columns[j][i];
-        reservoir.Add(text::TupleTokens(row_cells));
-      }
-      SAGED_COUNTER_ADD("detect.stream_blocks", 1);
+      // Task 0 feeds the reservoir in row order while each other task scans
+      // one column into its own builder, so the fan-out is deterministic.
+      auto scan = [&](size_t task) {
+        if (task > 0) {
+          for (const Cell& cell : block.columns[task - 1]) {
+            builders[task - 1].Observe(cell);
+          }
+          return;
+        }
+        for (size_t i = 0; i < block.rows; ++i) {
+          for (size_t j = 0; j < cols; ++j) row_cells[j] = block.columns[j][i];
+          reservoir.Add(text::TupleTokens(row_cells));
+        }
+      };
+      executor_->ParallelFor(cols + 1, scan, threads);
+      rows += block.rows;
+      SAGED_COUNTER_ADD("detect.blocks", 1);
       SAGED_GAUGE_SAMPLE_RSS("detect.rss_bytes");
     }
-    rows = reader.rows_read();
   }
   if (rows == 0) return Status::InvalidArgument("empty dirty table");
-  // Pass 1 fixed the data's shape; bounce a mismatched oracle now, before
+  // The scan fixed the data's shape; bounce a mismatched oracle now, before
   // the expensive second pass and before labeling ever queries it.
   SAGED_RETURN_NOT_OK(CheckOracleShape(request, rows, cols));
   SAGED_COUNTER_ADD("detect.cells", rows * cols);
 
-  std::vector<features::FrozenColumnStats> stats;
-  stats.reserve(cols);
-  for (auto& builder : builders) {
-    SAGED_ASSIGN_OR_RETURN(auto frozen, builder.Finalize());
-    stats.push_back(std::move(frozen));
-  }
+  std::vector<features::FrozenColumnStats> stats(cols);
+  std::vector<Status> column_status(cols);
+  executor_->ParallelFor(
+      cols,
+      [&](size_t j) {
+        Result<features::FrozenColumnStats> frozen = builders[j].Finalize();
+        if (!frozen.ok()) {
+          column_status[j] = frozen.status();
+          return;
+        }
+        stats[j] = std::move(frozen).value();
+      },
+      threads);
+  for (const auto& status : column_status) SAGED_RETURN_NOT_OK(status);
   builders.clear();
 
+  // 2. Dataset-level Word2Vec for the dirty data's feature extraction.
   text::Word2Vec w2v(config.w2v, config.seed);
   {
-    SAGED_TRACE_SPAN("detect/featurize/train_w2v");
+    SAGED_TRACE_SPAN("detect/train_w2v");
     SAGED_RETURN_NOT_OK(w2v.Train(reservoir.Take()));
   }
 
-  // Match against the knowledge base and size the resident per-column
-  // meta-feature matrices (rows x (|B_rel| + metadata)) — the only
-  // full-table allocation of this path.
-  SAGED_ASSIGN_OR_RETURN(auto matcher, [&] {
-    SAGED_TRACE_SPAN("detect/match/build_matcher");
-    return MakeMatcher(config, &kb_);
-  }());
+  // 3. Match every column against the knowledge base (lines 1-4 of
+  //    Figure 3) and size the resident per-column meta-feature matrices
+  //    (rows x (|B_rel| + metadata)): the only full-table allocation.
   DetectionResult result{ErrorMask(rows, cols), 0.0, 0, {}, {}};
   result.diagnostics.resize(cols);
   const size_t metadata_cols = config.meta_include_cell_metadata
@@ -294,8 +292,14 @@ Result<DetectionResult> Saged::DetectStreamed(const SagedConfig& config,
   std::vector<size_t> vote_cols(cols, 0);
   {
     SAGED_TRACE_SPAN("detect/match");
+    SAGED_ASSIGN_OR_RETURN(auto matcher, [&] {
+      SAGED_TRACE_SPAN("detect/match/build_matcher");
+      return MakeMatcher(config, &kb_);
+    }());
+    executor_->ParallelFor(
+        cols, [&](size_t j) { models[j] = matcher->Match(stats[j].signature); },
+        threads);
     for (size_t j = 0; j < cols; ++j) {
-      models[j] = matcher->Match(stats[j].signature);
       result.diagnostics[j].column = names[j];
       for (size_t m : models[j]) {
         result.diagnostics[j].matched_sources.push_back(
@@ -307,82 +311,69 @@ Result<DetectionResult> Saged::DetectStreamed(const SagedConfig& config,
     }
   }
 
-  // Pin every matched base model across pass 2 in one acquisition (a
-  // lazily-backed knowledge base hydrates all needed shards in parallel
-  // here; an in-memory one hands back a null lease). Held until the
-  // function returns so block-level inference never sees an evicted model.
-  ModelLease model_lease;
+  // 4. Block inference (lines 5-13): featurize each block under the frozen
+  //    stats and run B_rel straight into the meta matrices at the block's
+  //    rows. Rows are independent in both stages, so the filled matrices do
+  //    not depend on the blocking.
   {
-    std::vector<size_t> all_models;
-    for (size_t j = 0; j < cols; ++j) {
-      all_models.insert(all_models.end(), models[j].begin(), models[j].end());
-    }
-    std::sort(all_models.begin(), all_models.end());
-    all_models.erase(std::unique(all_models.begin(), all_models.end()),
-                     all_models.end());
-    SAGED_ASSIGN_OR_RETURN(model_lease, kb_.AcquireModels(all_models));
-  }
-
-  // Pass 2 (streaming): featurize each block under the frozen stats and run
-  // base-model inference straight into the resident meta matrices. Rows are
-  // independent in both stages, so the filled matrices are bit-identical to
-  // one whole-column pass.
-  {
-    SAGED_TRACE_SPAN("detect_stream/block_infer");
+    SAGED_TRACE_SPAN("detect/block_infer");
     features::ColumnFeaturizer featurizer(&w2v, &kb_.char_space(),
                                           MakeFeaturizeOptions(config));
-    // Per-column featurization scratch, reused block after block (arena
-    // discipline): blocks are sequential and columns are parallel within a
-    // block, so slot j is only ever touched by column j's task.
-    std::vector<features::FeatureArena> arenas(cols);
-    std::vector<ml::Matrix> feature_scratch(cols);
-    CsvBlockReader reader(csv_path, options.block_rows, {},
-                          options.chunk_bytes);
-    SAGED_RETURN_NOT_OK(reader.Open());
-    if (reader.column_names() != names) {
-      return Status::IoError("'" + csv_path + "' changed between passes");
-    }
-    CsvBlock block;
+    // Featurization scratch (arena discipline) per task, not per column:
+    // tasks claim columns one at a time, so at most `tasks` wide feature
+    // matrices are alive at once, and each is reused block after block.
+    const size_t tasks = std::min(
+        cols, threads == 0 ? executor_->num_workers() + 1 : threads);
+    std::vector<features::FeatureArena> arenas(tasks);
+    std::vector<ml::Matrix> feature_scratch(tasks);
+    // A column pins its matched base models from its first block through
+    // its last (a lazily-backed knowledge base hydrates missing shards on
+    // acquire; an in-memory one hands back a null lease), so inference
+    // never sees an evicted model, yet a one-block run pins only the
+    // columns in flight, not the union over all columns.
+    std::vector<ModelLease> leases(cols);
+    SAGED_RETURN_NOT_OK(source.Rewind());
+    BlockSource::Block block;
     size_t block_index = 0;
     while (true) {
-      SAGED_ASSIGN_OR_RETURN(bool more, reader.Next(&block));
+      SAGED_ASSIGN_OR_RETURN(bool more, source.Next(&block));
       if (!more) break;
-      // The block index rides on the trace event (args.id), so streaming
-      // block overlap and stragglers are attributable in the Chrome trace.
-      SAGED_TRACE_SPAN_ARG("detect_stream/block", block_index++);
-      if (block.first_row + block.rows() > rows) {
-        return Status::IoError("'" + csv_path + "' changed between passes");
-      }
-      std::vector<Status> column_status(cols);
-      auto process_column = [&](size_t j) {
-        Status featurized = [&] {
-          SAGED_TRACE_SPAN("detect/featurize");
-          return featurizer.FeaturizeFrozenInto(
-              stats[j], std::span<const Cell>(block.columns[j]),
-              &feature_scratch[j], &arenas[j]);
-        }();
-        if (!featurized.ok()) {
-          column_status[j] = featurized;
-          return;
+      // The block index rides on the trace event (args.id), so block
+      // overlap and stragglers are attributable in the Chrome trace.
+      SAGED_TRACE_SPAN_ARG("detect/block", block_index++);
+      const bool last_block = block.first_row + block.rows == rows;
+      std::atomic<size_t> next_column{0};
+      auto infer = [&](size_t t) {
+        for (size_t j = next_column++; j < cols; j = next_column++) {
+          column_status[j] = [&]() -> Status {
+            if (block.first_row == 0) {
+              SAGED_ASSIGN_OR_RETURN(leases[j], kb_.AcquireModels(models[j]));
+            }
+            {
+              SAGED_TRACE_SPAN("detect/featurize");
+              SAGED_RETURN_NOT_OK(featurizer.FeaturizeFrozenInto(
+                  stats[j], block.columns[j], &feature_scratch[t],
+                  &arenas[t]));
+            }
+            SAGED_TRACE_SPAN("detect/meta_features");
+            // Nested fan-out: when fewer columns than workers are in
+            // flight, the matched base models' inference overlaps too.
+            return BuildMetaFeaturesInto(feature_scratch[t], kb_, models[j],
+                                         metadata_cols, &meta[j],
+                                         block.first_row, executor_, threads);
+          }();
+          if (last_block) leases[j].reset();
         }
-        SAGED_TRACE_SPAN("detect/meta_features");
-        column_status[j] = BuildMetaFeaturesInto(
-            feature_scratch[j], kb_, models[j], metadata_cols, &meta[j],
-            block.first_row, executor_, config.detect_threads);
       };
-      executor_->ParallelFor(cols, process_column, config.detect_threads);
-      for (const auto& status : column_status) {
-        SAGED_RETURN_NOT_OK(status);
-      }
+      executor_->ParallelFor(tasks, infer, threads);
+      for (const auto& status : column_status) SAGED_RETURN_NOT_OK(status);
       SAGED_GAUGE_SAMPLE_RSS("detect.rss_bytes");
-    }
-    if (reader.rows_read() != rows) {
-      return Status::IoError("'" + csv_path + "' changed between passes");
     }
   }
 
+  // 5-7. Tuple selection, labeling, meta classifiers, predictions.
   SAGED_RETURN_NOT_OK(
-      FinishDetection(config, meta, vote_cols, oracle, rng, &result));
+      FinishDetection(config, meta, vote_cols, request.oracle(), rng, &result));
   result.seconds = watch.Seconds();
   return result;
 }
@@ -395,7 +386,7 @@ Status Saged::FinishDetection(const SagedConfig& config,
   const size_t rows = result->mask.rows();
   const size_t cols = result->mask.cols();
 
-  // 4. Tuple selection for labeling (Section 4.1).
+  // 5. Tuple selection for labeling (Section 4.1).
   std::vector<size_t> labeled_rows;
   {
     SAGED_TRACE_SPAN("detect/label");
@@ -407,7 +398,7 @@ Status Saged::FinishDetection(const SagedConfig& config,
   }
   result->labeled_tuples = labeled_rows.size();
 
-  // 5. Per-column oracle labels for the selected tuples.
+  // 6. Per-column oracle labels for the selected tuples.
   std::vector<std::vector<int>> labels(cols);
   {
     SAGED_TRACE_SPAN("detect/label/oracle");
@@ -418,7 +409,7 @@ Status Saged::FinishDetection(const SagedConfig& config,
     SAGED_COUNTER_ADD("detect.oracle_labels", labeled_rows.size() * cols);
   }
 
-  // 6. Meta classifier per column, optional label augmentation (Section
+  // 7. Meta classifier per column, optional label augmentation (Section
   //    4.2), final cell predictions.
   for (size_t j = 0; j < cols; ++j) {
     MetaClassifier initial(config.meta_model, rng.Next(), vote_cols[j]);

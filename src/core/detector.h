@@ -17,6 +17,10 @@
 
 namespace saged::core {
 
+/// The online driver's input, a table or a CSV file as row blocks (defined
+/// in detector.cc).
+class BlockSource;
+
 /// Post-hoc interpretability for one column (the paper's Discussion point 3:
 /// "why was this cell flagged?"): which historical columns' models voted,
 /// how the per-column classifier decided, and where its cut sits.
@@ -60,8 +64,8 @@ struct DetectionResult {
 ///
 /// Run is the single online entry point: the in-memory and streaming paths,
 /// the CLI, the benches, and the serve daemon all funnel through one
-/// request-shaped signature (core/request.h). Detect / DetectStream remain
-/// as thin conveniences that build the request for you.
+/// request-shaped signature (core/request.h) into one driver. Detect /
+/// DetectStream remain as thin conveniences that build the request for you.
 class Saged {
  public:
   /// `executor` = nullptr uses the process-wide Executor::Shared() pool;
@@ -92,10 +96,11 @@ class Saged {
 
   /// Online phase, unified entry point: validates the request, resolves the
   /// effective config (the request's override or this instance's), and
-  /// dispatches on the request's source and options —
-  ///   table source                  -> in-memory detection
-  ///   CSV source, options.stream    -> out-of-core streaming detection
-  ///   CSV source, !options.stream   -> load the CSV whole, then in-memory
+  /// runs the one online driver over a block source built from the
+  /// request —
+  ///   table source                  -> the table as a single block
+  ///   CSV source, options.stream    -> the file, streamed block by block
+  ///   CSV source, !options.stream   -> the file loaded whole, single block
   ///
   /// Run never mutates the engine: concurrent Run calls on one instance are
   /// safe (and how the serve daemon amortizes one knowledge base across
@@ -109,41 +114,40 @@ class Saged {
 
   /// Convenience wrapper for the out-of-core path: detects errors in the
   /// CSV file at `csv_path` without ever materializing the table
-  /// (options.stream is implied). Two streaming passes: the first freezes
-  /// per-column statistics and the Word2Vec corpus reservoir, the second
-  /// featurizes and runs base-model inference one block at a time; only the
-  /// narrow per-column meta-feature matrices (rows x (|B_rel| + metadata))
-  /// stay resident. Produces a mask byte-identical to Detect on the loaded
-  /// table, for any block_rows / chunk_bytes / detect_threads, when the
-  /// table has at most `w2v.max_documents` rows; above that both paths
-  /// still agree with each other bit-for-bit (the shared reservoir decides
-  /// the corpus). Oracle row indices refer to the file's data rows in order.
+  /// (options.stream is implied). The driver reads the file twice: the
+  /// first pass freezes per-column statistics and the Word2Vec corpus
+  /// reservoir, the second featurizes and runs base-model inference one
+  /// block at a time; only the narrow per-column meta-feature matrices
+  /// (rows x (|B_rel| + metadata)) stay resident. Because in-memory
+  /// detection is the same driver over a single block, the mask is
+  /// byte-identical to Detect on the loaded table for any block_rows /
+  /// chunk_bytes / detect_threads. Oracle row indices refer to the file's
+  /// data rows in order.
   Result<DetectionResult> DetectStream(const std::string& csv_path,
                                        const OracleFn& oracle,
                                        const DetectionOptions& options = {});
 
  private:
-  /// The in-memory online path (spans under "detect"). `dirty` is the
-  /// request's table or the CSV source loaded whole.
-  Result<DetectionResult> DetectInMemory(const SagedConfig& config,
-                                         const DetectionRequest& request,
-                                         const Table& dirty);
-
-  /// The streaming online path (spans under "detect_stream").
-  Result<DetectionResult> DetectStreamed(const SagedConfig& config,
-                                         const DetectionRequest& request);
+  /// The online driver (spans under "detect"): scan the source for frozen
+  /// column stats and the Word2Vec reservoir, train Word2Vec, match, re-read
+  /// the source block by block into the meta-feature matrices (each column
+  /// leasing its matched models from its first block through its last),
+  /// then FinishDetection.
+  Result<DetectionResult> DetectBlocks(const SagedConfig& config,
+                                       const DetectionRequest& request,
+                                       BlockSource& source);
 
   /// The request's declared oracle shape against the data's actual shape;
-  /// both paths call this before the first oracle query, so a mismatched
-  /// ground-truth mask is a typed error instead of out-of-bounds labeling
-  /// reads.
+  /// checked once the scan has fixed the shape, before the first oracle
+  /// query, so a mismatched ground-truth mask is a typed error instead of
+  /// out-of-bounds labeling reads.
   static Status CheckOracleShape(const DetectionRequest& request, size_t rows,
                                  size_t cols);
 
-  /// Steps shared verbatim by both online paths once the per-column
-  /// meta-feature matrices exist: tuple selection, oracle labeling, meta
-  /// classifier training, final cell predictions. Consumes `rng` in a fixed
-  /// order — the byte-identity contract between Detect and DetectStream.
+  /// The driver's tail once the per-column meta-feature matrices exist:
+  /// tuple selection, oracle labeling, meta classifier training, final cell
+  /// predictions. Consumes `rng` in a fixed order, so the mask depends only
+  /// on the meta matrices and the oracle.
   Status FinishDetection(const SagedConfig& config,
                          const std::vector<ml::Matrix>& meta,
                          const std::vector<size_t>& vote_cols,

@@ -37,8 +37,9 @@ enum class FeaturizeMode {
   kAuto,
 };
 
-/// Featurization knobs threaded from SagedConfig (core/config.h keeps the
-/// user-facing flags; this struct is the features-layer view of them).
+/// Featurization knobs. The toggles come from SagedConfig
+/// (core::MakeFeaturizeOptions); detection always runs the default mode and
+/// cutoff, and the other selectors serve the parity tests and benches.
 struct FeaturizeOptions {
   FeatureToggles toggles;
   FeaturizeMode mode = FeaturizeMode::kAuto;
@@ -50,9 +51,8 @@ struct FeaturizeOptions {
 /// Reusable featurization scratch (arena discipline): the dictionary, the
 /// per-dictionary feature matrix, and the TF-IDF plan buffers keep their
 /// allocations across calls, so the streaming path featurizes block after
-/// block with zero steady-state allocation beyond matrix fills. One arena
-/// per (column, caller) — the arena is NOT thread-safe; concurrent columns
-/// each use their own.
+/// block with zero steady-state allocation beyond matrix fills. The arena
+/// is NOT thread-safe: concurrent callers each use their own.
 class FeatureArena {
  private:
   friend class ColumnFeaturizer;
@@ -97,8 +97,9 @@ class ColumnFeaturizer {
 
   /// Arena form of FeaturizeFrozen: writes into `out` (resized in place,
   /// capacity retained) and keeps dictionary/plan scratch in `arena`. The
-  /// streaming detector calls this block after block with one (matrix,
-  /// arena) pair per column. `arena` may be null (scratch is then local).
+  /// detector calls this block after block, column after column, with one
+  /// (matrix, arena) pair per task. `arena` may be null (scratch is then
+  /// local).
   Status FeaturizeFrozenInto(const FrozenColumnStats& stats,
                              std::span<const Cell> cells, ml::Matrix* out,
                              FeatureArena* arena) const;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
 
+#include "common/telemetry.h"
+#include "common/trace.h"
 #include "core/detector.h"
 #include "data/csv.h"
 #include "datagen/datasets.h"
@@ -181,6 +184,55 @@ TEST_F(SagedFixture, RunOnCsvMatchesInMemoryRun) {
       saged.Run(DetectionRequest::ForCsv(path, MaskOracle(beers.mask)));
   ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
   EXPECT_TRUE(from_csv->mask == in_memory->mask);
+  std::remove(path.c_str());
+}
+
+/// Every span path of the "detect" tree in `spans`, names joined by " > ".
+void CollectDetectPaths(const std::vector<telemetry::MergedSpan>& spans,
+                        const std::string& prefix,
+                        std::set<std::string>* paths) {
+  for (const auto& span : spans) {
+    if (prefix.empty() && span.name != "detect") continue;
+    std::string path = prefix.empty() ? span.name : prefix + " > " + span.name;
+    paths->insert(path);
+    CollectDetectPaths(span.children, path, paths);
+  }
+}
+
+// In-memory detection is the streamed driver over a single block, so both
+// paths must report their stages under one span tree: per-stage numbers
+// from the two are then directly comparable. Sequential, because a pool
+// thread that help-drains while it waits nests the task it picks up under
+// its own open spans, which makes a parallel run's tree vary run to run.
+TEST_F(SagedFixture, InMemoryAndStreamedRunsRecordTheSameSpanTree) {
+  SagedConfig config = FastConfig();
+  config.detect_threads = 1;
+  Saged saged = MakeLoaded(config);
+  auto beers = Gen("beers", 200);
+  const std::string path = ::testing::TempDir() + "span_tree_beers.csv";
+  ASSERT_TRUE(WriteCsv(beers.dirty, path).ok());
+  auto span_paths = [&](const DetectionRequest& request) {
+    telemetry::TelemetryRegistry::Get().Reset();
+    telemetry::SetEnabled(true);
+    auto result = saged.Run(request);
+    telemetry::SetEnabled(false);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::set<std::string> paths;
+    CollectDetectPaths(telemetry::SnapshotSpans(), "", &paths);
+    telemetry::TelemetryRegistry::Get().Reset();
+    return paths;
+  };
+  std::set<std::string> in_memory = span_paths(
+      DetectionRequest::ForTable(&beers.dirty, MaskOracle(beers.mask)));
+  DetectionOptions streamed;
+  streamed.stream = true;
+  streamed.block_rows = 64;
+  std::set<std::string> from_stream = span_paths(
+      DetectionRequest::ForCsv(path, MaskOracle(beers.mask), streamed));
+  EXPECT_EQ(in_memory, from_stream);
+  EXPECT_TRUE(in_memory.count("detect > detect/scan_stats"));
+  EXPECT_TRUE(in_memory.count("detect > detect/block_infer"));
+  EXPECT_TRUE(in_memory.count("detect > detect/match"));
   std::remove(path.c_str());
 }
 

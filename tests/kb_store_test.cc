@@ -17,6 +17,7 @@
 #include "common/telemetry.h"
 #include "core/detector.h"
 #include "core/serialization.h"
+#include "data/csv.h"
 #include "datagen/datasets.h"
 #include "kb/kb_builder.h"
 #include "kb/model_cache.h"
@@ -97,8 +98,14 @@ const StoreFixture& Fixture() {
       EXPECT_TRUE(ds.ok()) << ds.status().ToString();
       EXPECT_TRUE(saged.AddHistoricalDataset(ds->dirty, ds->mask).ok());
     }
-    f->v2_path = testing::TempDir() + "/kb_store_test_v2.bin";
-    f->store_dir = testing::TempDir() + "/kb_store_test_v3";
+    // Named after the first test that builds the fixture: ctest runs every
+    // case as its own process, in parallel under -j, so a fixed name would
+    // let one process read a store another is still writing.
+    const std::string prefix =
+        testing::TempDir() + "/kb_store_test_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name();
+    f->v2_path = prefix + "_v2.bin";
+    f->store_dir = prefix + "_v3";
     EXPECT_TRUE(
         core::SaveKnowledgeBase(saged.knowledge_base(), f->v2_path).ok());
     auto migrated = MigrateV2ToV3(f->v2_path, f->store_dir, {});
@@ -309,25 +316,41 @@ TEST(ShardStoreTest, DetectionMasksMatchMonolithicByteForByte) {
   auto want = reference.Detect(nasa->dirty, core::MaskOracle(nasa->mask));
   ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-  // Store-backed, lazily hydrated, index-matched at probe=all — and again
-  // with a one-shard cache so hydration churns mid-run. Both must agree
-  // with the reference mask byte for byte.
+  // Store-backed, lazily hydrated, index-matched at probe=all, in memory
+  // and streamed in small blocks — and again with a one-shard cache. A
+  // column pins its models from its first block through its last, so with
+  // one shard of cache the in-memory run (one block) hydrates and evicts
+  // column by column, while the streamed run keeps every column's shards
+  // pinned, over capacity, until its last block. Every run must agree with
+  // the reference mask byte for byte.
+  const std::string csv_path =
+      testing::TempDir() + "/kb_store_test_nasa_stream.csv";
+  ASSERT_TRUE(WriteCsv(nasa->dirty, csv_path).ok());
   for (size_t cache_shards : {size_t{0}, size_t{1}}) {
-    ShardStore::OpenOptions options;
-    options.cache_shards = cache_shards;
-    auto store = ShardStore::Open(f.store_dir, options);
-    ASSERT_TRUE(store.ok());
-    auto kb = (*store)->MakeKnowledgeBase();
-    ASSERT_TRUE(kb.ok());
-    core::SagedConfig config = f.config;
-    config.similarity = core::SimilarityMethod::kIndexed;
-    config.index_probes = 1'000'000;  // probe=all: exact-parity degenerate
-    core::Saged lazy(config);
-    lazy.SetKnowledgeBase(std::move(kb).value());
-    auto got = lazy.Detect(nasa->dirty, core::MaskOracle(nasa->mask));
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_TRUE(got->mask == want->mask) << "cache_shards=" << cache_shards;
+    for (bool stream : {false, true}) {
+      ShardStore::OpenOptions options;
+      options.cache_shards = cache_shards;
+      auto store = ShardStore::Open(f.store_dir, options);
+      ASSERT_TRUE(store.ok());
+      auto kb = (*store)->MakeKnowledgeBase();
+      ASSERT_TRUE(kb.ok());
+      core::SagedConfig config = f.config;
+      config.similarity = core::SimilarityMethod::kIndexed;
+      config.index_probes = 1'000'000;  // probe=all: exact-parity degenerate
+      core::Saged lazy(config);
+      lazy.SetKnowledgeBase(std::move(kb).value());
+      core::DetectionOptions blocks;
+      blocks.block_rows = 32;
+      auto got =
+          stream ? lazy.DetectStream(csv_path, core::MaskOracle(nasa->mask),
+                                     blocks)
+                 : lazy.Detect(nasa->dirty, core::MaskOracle(nasa->mask));
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(got->mask == want->mask)
+          << "cache_shards=" << cache_shards << " stream=" << stream;
+    }
   }
+  std::filesystem::remove(csv_path);
 }
 
 }  // namespace

@@ -466,26 +466,26 @@ TEST(LintTest, UntimedStageMethodFlagged) {
   LintResult r = RunLint(
       {{"src/core/fixture_detector.cc",
         "namespace saged::core {\n"
-        "Result<DetectionResult> Saged::DetectInMemory(const SagedConfig& c,\n"
-        "                                              const Table& t,\n"
-        "                                              const OracleFn& o) {\n"
-        "  return Impl(c, t, o);\n"
+        "Result<DetectionResult> Saged::DetectBlocks(const SagedConfig& c,\n"
+        "                                            const DetectionRequest& r,\n"
+        "                                            BlockSource& s) {\n"
+        "  return Impl(c, r, s);\n"
         "}\n"
         "}  // namespace saged::core\n"}});
   auto hits = ByRule(r, "no-untimed-stage");
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("Saged::DetectInMemory"), std::string::npos);
+  EXPECT_NE(hits[0].message.find("Saged::DetectBlocks"), std::string::npos);
 }
 
 TEST(LintTest, TimedStageMethodPasses) {
   LintResult r = RunLint(
       {{"src/core/fixture_detector.cc",
         "namespace saged::core {\n"
-        "Result<DetectionResult> Saged::DetectInMemory(const SagedConfig& c,\n"
-        "                                              const Table& t,\n"
-        "                                              const OracleFn& o) {\n"
+        "Result<DetectionResult> Saged::DetectBlocks(const SagedConfig& c,\n"
+        "                                            const DetectionRequest& r,\n"
+        "                                            BlockSource& s) {\n"
         "  SAGED_TRACE_SPAN(\"detect\");\n"
-        "  return Impl(c, t, o);\n"
+        "  return Impl(c, r, s);\n"
         "}\n"
         "}  // namespace saged::core\n"}});
   EXPECT_TRUE(ByRule(r, "no-untimed-stage").empty());

@@ -25,8 +25,13 @@
 namespace saged {
 namespace {
 
+/// A temp file name unique to the running test: ctest runs every case as
+/// its own process, in parallel under -j, so a fixed name shared by two
+/// cases would race.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." +
+         test->name() + "." + name;
 }
 
 void WriteFile(const std::string& path, const std::string& content) {

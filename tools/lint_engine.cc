@@ -762,9 +762,8 @@ void AuditNodiscardTypes(const std::vector<FileView>& views,
 /// `Class::Method` as it appears at the definition site.
 const std::set<std::string>& StageEntryPoints() {
   static const std::set<std::string> kStages = {
-      "Saged::DetectInMemory", "Saged::DetectStreamed",
-      "KnowledgeExtractor::AddDataset", "ErrorDetector::Run",
-      "SagedServer::RunDetection"};
+      "Saged::DetectBlocks", "KnowledgeExtractor::AddDataset",
+      "ErrorDetector::Run", "SagedServer::RunDetection"};
   return kStages;
 }
 
