@@ -1,5 +1,6 @@
 #include "common/binary_io.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace saged {
@@ -13,6 +14,9 @@ void WriteRaw(std::ostream* out, T v) {
   std::memcpy(buf, &v, sizeof(T));
   out->write(buf, sizeof(T));
 }
+
+/// Bytes a length-prefixed read allocates ahead of what it has read.
+constexpr uint64_t kReadChunkBytes = uint64_t{1} << 16;
 
 }  // namespace
 
@@ -70,21 +74,37 @@ Result<double> BinaryReader::ReadF64() {
   return v;
 }
 
+template <typename Buffer>
+Status BinaryReader::ReadChunked(Buffer* out, uint64_t n) {
+  using Elem = typename Buffer::value_type;
+  const uint64_t chunk = kReadChunkBytes / sizeof(Elem);
+  out->clear();
+  while (out->size() < n) {
+    size_t at = out->size();
+    size_t count = static_cast<size_t>(std::min(n - at, chunk));
+    out->resize(at + count);
+    SAGED_RETURN_NOT_OK(ReadBytes(out->data() + at, count * sizeof(Elem)));
+  }
+  return Status::OK();
+}
+
 Result<std::string> BinaryReader::ReadString() {
   SAGED_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
   if (n > kMaxLength) return Status::IoError("corrupt string length");
-  std::string s(n, '\0');
-  SAGED_RETURN_NOT_OK(ReadBytes(s.data(), n));
+  std::string s;
+  SAGED_RETURN_NOT_OK(ReadChunked(&s, n));
   return s;
 }
 
 Result<std::vector<double>> BinaryReader::ReadF64Vector() {
   SAGED_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
   if (n > kMaxLength) return Status::IoError("corrupt vector length");
-  std::vector<double> v(n);
-  for (auto& x : v) {
-    SAGED_ASSIGN_OR_RETURN(x, ReadF64());
-  }
+  return ReadF64s(n);
+}
+
+Result<std::vector<double>> BinaryReader::ReadF64s(uint64_t n) {
+  std::vector<double> v;
+  SAGED_RETURN_NOT_OK(ReadChunked(&v, n));
   return v;
 }
 

@@ -49,12 +49,18 @@ class BinaryReader {
   Result<double> ReadF64();
   Result<std::string> ReadString();
   Result<std::vector<double>> ReadF64Vector();
+  /// `n` raw doubles (no length prefix), e.g. a matrix of known shape.
+  Result<std::vector<double>> ReadF64s(uint64_t n);
 
   /// Guards length-prefixed reads against corrupted / truncated files.
+  /// Buffers grow as their bytes arrive, in bounded chunks, so a hostile
+  /// length prefix costs at most the bytes really in the stream.
   static constexpr uint64_t kMaxLength = 1ull << 32;
 
  private:
   Status ReadBytes(void* dst, size_t n);
+  template <typename Buffer>
+  Status ReadChunked(Buffer* out, uint64_t n);
 
   std::istream* in_;
 };

@@ -82,11 +82,26 @@ class ThreadTrace {
     }
   }
 
-  /// Pops without recording: used when closing a structurally re-entered
-  /// path (ScopedSpanPath), whose time is accounted on the origin thread.
-  void ExitNoRecord() {
+  /// Sets the open stack aside and re-enters `path` from the root: a
+  /// pooled task's spans nest under the path it was submitted from, never
+  /// under whatever the helping thread had open (ScopedSpanPath). Entering
+  /// records nothing; the origin thread accounts the path's time.
+  void Reenter(const std::vector<std::string>& path) {
     std::lock_guard<std::mutex> lock(mu);
-    if (!stack.empty()) stack.pop_back();
+    suspended.push_back(std::move(stack));
+    stack.clear();
+    SpanNode* parent = &root;
+    for (const auto& name : path) {
+      parent = parent->FindOrAddChild(name);
+      stack.push_back(parent);
+    }
+  }
+
+  /// Restores the stack Reenter set aside.
+  void Resume() {
+    std::lock_guard<std::mutex> lock(mu);
+    stack = std::move(suspended.back());
+    suspended.pop_back();
   }
 
   std::vector<std::string> OpenSpanNames() {
@@ -102,6 +117,8 @@ class ThreadTrace {
   SpanNode root SAGED_GUARDED_BY(mu);
   // open spans, outermost first
   std::vector<SpanNode*> stack SAGED_GUARDED_BY(mu);
+  // stacks set aside by Reenter, innermost last
+  std::vector<std::vector<SpanNode*>> suspended SAGED_GUARDED_BY(mu);
   // completed occurrences (capped)
   std::vector<TraceEvent> events SAGED_GUARDED_BY(mu);
   uint32_t thread_index = 0;  // set once at registration, immutable after
@@ -217,7 +234,9 @@ void ResetSpans() {
   registry.retired.clear();
   for (ThreadTrace* trace : registry.live) {
     std::lock_guard<std::mutex> lock(trace->mu);
-    if (trace->stack.empty()) trace->root.children.clear();
+    if (trace->stack.empty() && trace->suspended.empty()) {
+      trace->root.children.clear();
+    }
   }
 }
 
@@ -329,16 +348,13 @@ std::vector<std::string> CurrentSpanPath() {
 }
 
 ScopedSpanPath::ScopedSpanPath(const std::vector<std::string>& path) {
-  if (!Enabled() || path.empty()) return;
-  auto& trace = LocalTrace();
-  for (const auto& name : path) trace.Enter(name);
-  depth_ = path.size();
+  if (!Enabled()) return;
+  LocalTrace().Reenter(path);
+  active_ = true;
 }
 
 ScopedSpanPath::~ScopedSpanPath() {
-  if (depth_ == 0) return;
-  auto& trace = LocalTrace();
-  for (size_t i = 0; i < depth_; ++i) trace.ExitNoRecord();
+  if (active_) LocalTrace().Resume();
 }
 
 ScopedSpan::ScopedSpan(std::string_view name) : active_(Enabled()) {

@@ -106,10 +106,13 @@ Status WriteChromeTrace(const std::string& path);
 std::vector<std::string> CurrentSpanPath();
 
 /// Re-opens a span path captured on another thread (via CurrentSpanPath),
-/// so spans opened inside a pooled task attach under the submitter's span
-/// instead of at the worker's root. Structural only: closing the path adds
-/// no counts or time to the re-entered nodes (the submitting thread's own
-/// ScopedSpan already accounts the wall time once).
+/// so spans opened inside a pooled task attach under the submitter's span.
+/// The path is entered from the root: the calling thread's own open spans
+/// are set aside for the scope and restored on exit, so a thread that
+/// help-drains a task while it waits does not nest the task under itself.
+/// Structural only: closing the path adds no counts or time to the
+/// re-entered nodes (the submitting thread's own ScopedSpan already
+/// accounts the wall time once).
 class ScopedSpanPath {
  public:
   explicit ScopedSpanPath(const std::vector<std::string>& path);
@@ -119,7 +122,7 @@ class ScopedSpanPath {
   ScopedSpanPath& operator=(const ScopedSpanPath&) = delete;
 
  private:
-  size_t depth_ = 0;
+  bool active_ = false;
 };
 
 /// Clears retired trees and every quiescent live tree. Trees of threads

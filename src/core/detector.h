@@ -86,8 +86,9 @@ class Saged {
   KnowledgeBase* mutable_knowledge_base() { return &kb_; }
   Executor& executor() const { return *executor_; }
 
-  /// Replaces the knowledge base wholesale — e.g. with one restored from
-  /// disk via core::LoadKnowledgeBase, skipping re-extraction.
+  /// Replaces the knowledge base wholesale — e.g. with one opened from a
+  /// store on disk (kb::ShardStore::MakeKnowledgeBase), skipping
+  /// re-extraction.
   void SetKnowledgeBase(KnowledgeBase kb) { kb_ = std::move(kb); }
 
   /// Offline phase: ingest one pre-cleaned historical dataset (its data and

@@ -36,11 +36,10 @@ class KnowledgeExtractor {
   /// When `config.extraction_cache` is set and the knowledge base has
   /// already ingested identical content under an identical extraction
   /// configuration, the whole pass is skipped (counted as
-  /// `extract.cache_hits`). The recorded hashes persist through
-  /// serialization — both the monolithic v2 file and the sharded v3
-  /// store's manifest (src/kb/kb_builder.h) carry them — so the cache is
-  /// cross-run: re-extracting an already-ingested corpus against a
-  /// reopened knowledge base is a per-dataset no-op.
+  /// `extract.cache_hits`). The recorded hashes persist in the store's
+  /// manifest (src/kb/kb_builder.h), so the cache is cross-run:
+  /// re-extracting an already-ingested corpus against a reloaded knowledge
+  /// base (kb::LoadFullKnowledgeBase) is a per-dataset no-op.
   Status AddDataset(const Table& data, const ErrorMask& labels,
                     KnowledgeBase* kb) const;
 

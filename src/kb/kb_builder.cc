@@ -3,12 +3,30 @@
 #include <filesystem>
 #include <fstream>
 
-#include "common/binary_io.h"
-#include "core/serialization.h"
 #include "kb/shard_store.h"
 #include "kb/signature_index.h"
+#include "ml/gradient_boosting.h"
+#include "ml/logistic_regression.h"
+#include "ml/random_forest.h"
 
 namespace saged::kb {
+
+namespace {
+
+enum ModelTag : uint8_t {
+  kTagRandomForest = 1,
+  kTagGradientBoosting = 2,
+  kTagLogisticRegression = 3,
+};
+
+template <typename Model>
+Result<std::unique_ptr<ml::BinaryClassifier>> LoadModel(BinaryReader* reader) {
+  auto model = std::make_unique<Model>();
+  SAGED_RETURN_NOT_OK(model->Load(reader));
+  return std::unique_ptr<ml::BinaryClassifier>(std::move(model));
+}
+
+}  // namespace
 
 std::string ShardFilename(size_t shard) {
   std::string digits = std::to_string(shard);
@@ -52,7 +70,7 @@ Status WriteShardedStore(const core::KnowledgeBase& kb, const std::string& dir,
     writer.WriteU64(members.size());
     for (size_t e : members) {
       writer.WriteU64(e);
-      SAGED_RETURN_NOT_OK(core::WriteBaseModel(*kb.entries()[e].model, &writer));
+      SAGED_RETURN_NOT_OK(WriteBaseModel(*kb.entries()[e].model, &writer));
     }
     SAGED_RETURN_NOT_OK(writer.status());
     out.flush();
@@ -105,18 +123,42 @@ Result<core::KnowledgeBase> LoadFullKnowledgeBase(const std::string& path) {
   return kb;
 }
 
-Status MigrateV2ToV3(const std::string& v2_path, const std::string& out_dir,
-                     const BuildOptions& options) {
-  SAGED_ASSIGN_OR_RETURN(core::KnowledgeBase kb,
-                         core::LoadKnowledgeBase(v2_path));
-  return WriteShardedStore(kb, out_dir, options);
+Status WriteBaseModel(const ml::BinaryClassifier& model, BinaryWriter* writer) {
+  if (const auto* forest =
+          dynamic_cast<const ml::RandomForestClassifier*>(&model)) {
+    writer->WriteU8(kTagRandomForest);
+    forest->Save(writer);
+    return writer->status();
+  }
+  if (const auto* booster =
+          dynamic_cast<const ml::GradientBoostingClassifier*>(&model)) {
+    writer->WriteU8(kTagGradientBoosting);
+    booster->Save(writer);
+    return writer->status();
+  }
+  if (const auto* logistic =
+          dynamic_cast<const ml::LogisticRegression*>(&model)) {
+    writer->WriteU8(kTagLogisticRegression);
+    logistic->Save(writer);
+    return writer->status();
+  }
+  return Status::NotImplemented(
+      "only forest / boosting / logistic base models are serializable");
 }
 
-Status ExportMonolithic(const std::string& store_path,
-                        const std::string& out_path) {
-  SAGED_ASSIGN_OR_RETURN(core::KnowledgeBase kb,
-                         LoadFullKnowledgeBase(store_path));
-  return core::SaveKnowledgeBase(kb, out_path);
+Result<std::unique_ptr<ml::BinaryClassifier>> ReadBaseModel(
+    BinaryReader* reader) {
+  SAGED_ASSIGN_OR_RETURN(uint8_t tag, reader->ReadU8());
+  switch (tag) {
+    case kTagRandomForest:
+      return LoadModel<ml::RandomForestClassifier>(reader);
+    case kTagGradientBoosting:
+      return LoadModel<ml::GradientBoostingClassifier>(reader);
+    case kTagLogisticRegression:
+      return LoadModel<ml::LogisticRegression>(reader);
+    default:
+      return Status::IoError("unknown model tag in shard file");
+  }
 }
 
 }  // namespace saged::kb

@@ -2,24 +2,28 @@
 #define SAGED_KB_KB_BUILDER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
+#include "common/binary_io.h"
 #include "common/status.h"
 #include "core/knowledge_base.h"
+#include "ml/classifier.h"
 
 namespace saged::kb {
 
-/// Sharded store format (v3). A store is a directory:
+/// Knowledge-base store format (v3), the only format a knowledge base is
+/// persisted in: the offline extraction phase writes it once (`saged
+/// extract`), the online phase opens it lazily later. A store is a
+/// directory:
 ///
 ///   manifest.sagk   magic "SAGK", version, char space, extraction hashes,
 ///                   per-entry metadata {dataset, column, signature,
 ///                   shard id}, the signature index (centroids +
 ///                   assignments), and the shard table {filename, n_models}.
 ///   shard-NNNN.sags magic "SAGS", version, shard id, and that shard's
-///                   models as {entry index, tag + payload} records — the
-///                   exact per-model encoding of the monolithic v2 format
-///                   (core::WriteBaseModel), so migration round-trips
-///                   byte-identical.
+///                   models as {entry index, tag + payload} records
+///                   (WriteBaseModel), in ascending entry order.
 ///
 /// Shards are keyed by the signature index's bucket assignment: the models
 /// a query probes together live in files that load together.
@@ -27,9 +31,6 @@ inline constexpr uint32_t kManifestMagic = 0x5341474B;  // "SAGK"
 inline constexpr uint32_t kShardMagic = 0x53414753;     // "SAGS"
 inline constexpr uint32_t kStoreVersion = 3;
 inline constexpr char kManifestFilename[] = "manifest.sagk";
-/// Magic of the monolithic v1/v2 format (core/serialization), re-stated
-/// here so ShardStore::Open can sniff which reader a file needs.
-inline constexpr uint32_t kMonolithicMagic = 0x53414745;  // "SAGE"
 
 /// "shard-0007.sags" — manifest-relative shard filename.
 std::string ShardFilename(size_t shard);
@@ -46,23 +47,20 @@ struct BuildOptions {
                                        const std::string& dir,
                                        const BuildOptions& options = {});
 
-/// Loads any knowledge-base artifact — monolithic v1/v2 file or v3 store —
-/// into a fully-hydrated, self-contained KnowledgeBase (no store hooks, no
-/// leases; every model resident and owned by the returned object).
+/// Loads a store into a fully-hydrated, self-contained KnowledgeBase (no
+/// store hooks, no leases; every model resident and owned by the returned
+/// object) — for callers that extend or re-shard a knowledge base.
 [[nodiscard]] Result<core::KnowledgeBase> LoadFullKnowledgeBase(
     const std::string& path);
 
-/// Rewrites a monolithic v1/v2 file as a v3 sharded store.
-[[nodiscard]] Status MigrateV2ToV3(const std::string& v2_path,
-                                   const std::string& out_dir,
-                                   const BuildOptions& options = {});
-
-/// Rewrites any store (or monolithic file) as a monolithic v2 file.
-/// MigrateV2ToV3 then ExportMonolithic reproduces the v2 input
-/// byte-for-byte (golden-tested): entry order, extraction hashes, and the
-/// per-model encoding all survive the round trip.
-[[nodiscard]] Status ExportMonolithic(const std::string& store_path,
-                                      const std::string& out_path);
+/// One shard-file model record's payload: a tag byte plus the model.
+/// Supported families: random forest, gradient boosting, and logistic
+/// regression; MLP base models are rejected with NotImplemented (retrain
+/// them instead; they are cheap).
+[[nodiscard]] Status WriteBaseModel(const ml::BinaryClassifier& model,
+                                    BinaryWriter* writer);
+[[nodiscard]] Result<std::unique_ptr<ml::BinaryClassifier>> ReadBaseModel(
+    BinaryReader* reader);
 
 }  // namespace saged::kb
 

@@ -10,7 +10,6 @@
 #include "common/executor.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
-#include "core/serialization.h"
 #include "kb/kb_builder.h"
 
 namespace saged::kb {
@@ -27,33 +26,21 @@ struct ShardStore::LeaseState {
 Result<std::unique_ptr<ShardStore>> ShardStore::Open(
     const std::string& path, const OpenOptions& options) {
   std::error_code ec;
-  if (std::filesystem::is_directory(path, ec)) {
-    return OpenManifest(path, path + "/" + kManifestFilename, options);
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "'");
-  BinaryReader reader(&in);
-  SAGED_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
-  in.close();
-  if (magic == kManifestMagic) {
-    std::string dir = std::filesystem::path(path).parent_path().string();
-    if (dir.empty()) dir = ".";
-    return OpenManifest(dir, path, options);
-  }
-  if (magic == kMonolithicMagic) return OpenV2(path, options);
-  return Status::IoError("'" + path +
-                         "' is neither a knowledge base nor a sharded store");
-}
-
-Result<std::unique_ptr<ShardStore>> ShardStore::OpenManifest(
-    const std::string& dir, const std::string& manifest_path,
-    const OpenOptions& options) {
+  const bool is_dir = std::filesystem::is_directory(path, ec);
+  std::string dir =
+      is_dir ? path : std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const std::string manifest_path =
+      is_dir ? path + "/" + kManifestFilename : path;
   std::ifstream in(manifest_path, std::ios::binary);
   if (!in) return Status::IoError("cannot open '" + manifest_path + "'");
   BinaryReader reader(&in);
-  SAGED_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
-  if (magic != kManifestMagic) {
-    return Status::IoError("'" + manifest_path + "' is not a store manifest");
+  Result<uint32_t> magic = reader.ReadU32();
+  if (!magic.ok() || *magic != kManifestMagic) {
+    return Status::IoError(
+        "'" + manifest_path +
+        "' is not a knowledge-base store manifest (monolithic knowledge-base "
+        "files are no longer read; re-run `saged extract` to write a store)");
   }
   SAGED_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
   if (version != kStoreVersion) {
@@ -68,7 +55,6 @@ Result<std::unique_ptr<ShardStore>> ShardStore::OpenManifest(
   if (n_hashes > BinaryReader::kMaxLength) {
     return Status::IoError("corrupt extraction hash count");
   }
-  store->extraction_hashes_.reserve(n_hashes);
   for (uint64_t i = 0; i < n_hashes; ++i) {
     SAGED_ASSIGN_OR_RETURN(uint64_t hash, reader.ReadU64());
     store->extraction_hashes_.push_back(hash);
@@ -78,7 +64,6 @@ Result<std::unique_ptr<ShardStore>> ShardStore::OpenManifest(
   if (n_entries > BinaryReader::kMaxLength) {
     return Status::IoError("corrupt entry count");
   }
-  store->entries_.reserve(n_entries);
   for (uint64_t i = 0; i < n_entries; ++i) {
     EntryMeta meta;
     SAGED_ASSIGN_OR_RETURN(meta.dataset, reader.ReadString());
@@ -100,7 +85,6 @@ Result<std::unique_ptr<ShardStore>> ShardStore::OpenManifest(
   if (n_shards > BinaryReader::kMaxLength) {
     return Status::IoError("corrupt shard count");
   }
-  store->shards_.reserve(n_shards);
   for (uint64_t s = 0; s < n_shards; ++s) {
     ShardMeta meta;
     SAGED_ASSIGN_OR_RETURN(meta.filename, reader.ReadString());
@@ -125,44 +109,6 @@ Result<std::unique_ptr<ShardStore>> ShardStore::OpenManifest(
   store->cache_ = ShardLruCache(n_shards, options.cache_shards);
   // saged-lint: allow(lock-discipline): Open constructs the store before any other thread can see it; mu_ has no possible contender yet
   store->loading_.assign(n_shards, false);
-  return store;
-}
-
-Result<std::unique_ptr<ShardStore>> ShardStore::OpenV2(
-    const std::string& path, const OpenOptions& options) {
-  SAGED_ASSIGN_OR_RETURN(core::KnowledgeBase full,
-                         core::LoadKnowledgeBase(path));
-
-  std::unique_ptr<ShardStore> store(new ShardStore());
-  store->v2_path_ = path;
-  store->source_version_ = 2;
-  store->char_space_ = full.char_space();
-  store->extraction_hashes_ = full.extraction_hashes();
-
-  if (!full.empty()) {
-    // Index buckets are a matching concern only here: the store has one
-    // "shard" (the v2 file), so probe locality cannot reduce I/O.
-    SAGED_ASSIGN_OR_RETURN(store->index_, SignatureIndex::Build(full, 0, 42));
-    store->has_index_ = true;
-  }
-
-  store->entries_.reserve(full.size());
-  store->shard_members_.assign(1, {});
-  for (size_t e = 0; e < full.size(); ++e) {
-    core::BaseModelEntry* src = full.mutable_entry(e);
-    EntryMeta meta;
-    meta.dataset = std::move(src->dataset);
-    meta.column = std::move(src->column);
-    meta.signature = std::move(src->signature);
-    meta.shard = 0;
-    store->entries_.push_back(std::move(meta));
-    store->shard_members_[0].push_back(e);
-  }
-  store->shards_.push_back(ShardMeta{path, full.size()});
-
-  store->cache_ = ShardLruCache(1, options.cache_shards);
-  // saged-lint: allow(lock-discipline): Open constructs the store before any other thread can see it; mu_ has no possible contender yet
-  store->loading_.assign(1, false);
   return store;
 }
 
@@ -321,21 +267,6 @@ Status ShardStore::LoadShardFile(size_t shard,
   SAGED_TRACE_SPAN_ARG("kb/load_shard", shard);
   SAGED_COUNTER_INC("kb.shard_loads");
 
-  if (source_version_ == 2) {
-    // The one v2 "shard" is the monolithic file; re-parse it whole.
-    SAGED_ASSIGN_OR_RETURN(core::KnowledgeBase full,
-                           core::LoadKnowledgeBase(v2_path_));
-    if (full.size() != entries_.size()) {
-      return Status::IoError("knowledge base '" + v2_path_ +
-                             "' changed on disk since the store opened");
-    }
-    out->reserve(full.size());
-    for (size_t e = 0; e < full.size(); ++e) {
-      out->push_back(LoadedModel{e, std::move(full.mutable_entry(e)->model)});
-    }
-    return Status::OK();
-  }
-
   std::string path = base_dir_ + "/" + shards_[shard].filename;
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open shard file '" + path + "'");
@@ -357,17 +288,21 @@ Status ShardStore::LoadShardFile(size_t shard,
     return Status::IoError("shard '" + path +
                            "' model count disagrees with the manifest");
   }
+  const std::vector<size_t>& members = shard_members_[shard];
   out->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     LoadedModel m;
     SAGED_ASSIGN_OR_RETURN(uint64_t entry_index, reader.ReadU64());
-    if (entry_index >= entries_.size() ||
-        entries_[entry_index].shard != shard) {
-      return Status::IoError("shard '" + path +
-                             "' holds a model for a foreign entry");
+    // The writer emits a shard's members in ascending entry order; any other
+    // index (foreign, out of range, or repeated) would leave a member's
+    // model unhydrated.
+    if (entry_index != members[i]) {
+      return Status::IoError("shard '" + path + "' record " +
+                             std::to_string(i) + " does not hold entry " +
+                             std::to_string(members[i]));
     }
     m.entry_index = entry_index;
-    SAGED_ASSIGN_OR_RETURN(m.model, core::ReadBaseModel(&reader));
+    SAGED_ASSIGN_OR_RETURN(m.model, ReadBaseModel(&reader));
     out->push_back(std::move(m));
   }
   return Status::OK();
@@ -375,7 +310,6 @@ Status ShardStore::LoadShardFile(size_t shard,
 
 StoreStats ShardStore::GetStats() const {
   StoreStats stats;
-  stats.version = source_version_;
   stats.n_entries = entries_.size();
   stats.n_shards = shards_.size();
   stats.n_buckets = has_index_ ? index_.n_buckets() : 0;

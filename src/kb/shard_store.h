@@ -20,7 +20,6 @@ namespace saged::kb {
 
 /// Store-wide facts surfaced by `saged kb stats` and the serve daemon.
 struct StoreStats {
-  uint32_t version = 3;  // 2 when transparently serving a monolithic v2 file
   size_t n_entries = 0;
   size_t n_shards = 0;
   size_t n_buckets = 0;        // signature-index buckets (0: empty store)
@@ -29,16 +28,12 @@ struct StoreStats {
   std::vector<uint64_t> shard_sizes;  // models per shard
 };
 
-/// Lazily-loaded, capacity-bounded view of a sharded knowledge base
-/// (format v3: one manifest plus one shard file per signature bucket, see
+/// Lazily-loaded, capacity-bounded view of a knowledge-base store (format
+/// v3: one manifest plus one shard file per signature bucket, see
 /// kb/kb_builder.h). Opening reads only the manifest — entry metadata,
 /// the signature index, and the shard table — so a thousand-dataset store
 /// is servable in milliseconds; base models hydrate on first use, whole
 /// shards at a time, in parallel on the shared Executor.
-///
-/// A monolithic v2 file (core/serialization) opens transparently as a
-/// single-shard store: metadata is parsed up front, the one "shard" is the
-/// v2 file itself, re-parsed on first model use.
 ///
 /// Residency is LRU with whole-shard eviction (ShardLruCache). Leases
 /// returned by KnowledgeBase::AcquireModels pin their shards; eviction only
@@ -58,8 +53,10 @@ class ShardStore {
     size_t cache_shards = 0;
   };
 
-  /// `path`: a v3 store directory, a manifest file inside one, or a
-  /// monolithic v2 knowledge-base file.
+  /// `path`: a store directory or the manifest file inside one. Every
+  /// length and count in the manifest is checked against the bytes that
+  /// follow it, and every shard record against the manifest's membership,
+  /// so a corrupt or hostile store fails with IoError.
   static Result<std::unique_ptr<ShardStore>> Open(const std::string& path,
                                                   const OpenOptions& options);
 
@@ -72,7 +69,7 @@ class ShardStore {
   /// `similarity = indexed`.
   Result<core::KnowledgeBase> MakeKnowledgeBase();
 
-  /// Hydrates and pins every shard (serve warm mode / full migration).
+  /// Hydrates and pins every shard (serve warm mode, LoadFullKnowledgeBase).
   /// The returned lease defeats the cache bound until released.
   [[nodiscard]] Result<core::ModelLease> AcquireAll(core::KnowledgeBase* kb);
 
@@ -92,7 +89,7 @@ class ShardStore {
     uint32_t shard = 0;
   };
   struct ShardMeta {
-    std::string filename;  // relative to base_dir_; v2: the file itself
+    std::string filename;  // relative to base_dir_
     uint64_t n_models = 0;
   };
   struct LoadedModel {
@@ -103,12 +100,6 @@ class ShardStore {
   struct LeaseState;
 
   ShardStore() = default;
-
-  static Result<std::unique_ptr<ShardStore>> OpenManifest(
-      const std::string& dir, const std::string& manifest_path,
-      const OpenOptions& options);
-  static Result<std::unique_ptr<ShardStore>> OpenV2(
-      const std::string& path, const OpenOptions& options);
 
   /// ModelProvider entry point: ensures the shards behind `indices` are
   /// resident in `kb` and returns a lease pinning them.
@@ -126,9 +117,7 @@ class ShardStore {
   /// Drops unpinned LRU shards until back under capacity.
   void EvictToCapacity() SAGED_REQUIRES(mu_);
 
-  std::string base_dir_;  // v3 store directory ("" in v2 mode)
-  std::string v2_path_;   // monolithic v2 file ("" in v3 mode)
-  uint32_t source_version_ = 3;
+  std::string base_dir_;
   features::CharSpace char_space_{64};
   std::vector<uint64_t> extraction_hashes_;
   std::vector<EntryMeta> entries_;

@@ -178,20 +178,19 @@ Result<SignatureIndex> SignatureIndex::Load(BinaryReader* reader) {
   SAGED_ASSIGN_OR_RETURN(uint64_t rows, reader->ReadU64());
   SAGED_ASSIGN_OR_RETURN(uint64_t cols, reader->ReadU64());
   if (rows == 0 || rows > BinaryReader::kMaxLength ||
-      cols > BinaryReader::kMaxLength) {
+      (cols != 0 && rows > BinaryReader::kMaxLength / cols)) {
     return Status::IoError("corrupt signature-index centroid shape");
   }
+  SAGED_ASSIGN_OR_RETURN(std::vector<double> centroids,
+                         reader->ReadF64s(rows * cols));
   index.centroids_ = ml::Matrix(rows, cols);
-  for (uint64_t r = 0; r < rows; ++r) {
-    for (uint64_t c = 0; c < cols; ++c) {
-      SAGED_ASSIGN_OR_RETURN(index.centroids_.At(r, c), reader->ReadF64());
-    }
-  }
+  index.centroids_.mutable_data().swap(centroids);
   SAGED_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
-  if (n > BinaryReader::kMaxLength) {
+  // K-Means never fits more buckets than entries; the bound also keeps a
+  // zero-width shape from sizing the bucket table past the file's bytes.
+  if (n > BinaryReader::kMaxLength || rows > n) {
     return Status::IoError("corrupt signature-index assignment count");
   }
-  index.assignments_.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     SAGED_ASSIGN_OR_RETURN(uint32_t a, reader->ReadU32());
     if (a >= rows) {

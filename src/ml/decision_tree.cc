@@ -195,8 +195,14 @@ Status DecisionTree::Load(BinaryReader* reader) {
   SAGED_ASSIGN_OR_RETURN(n_features_, reader->ReadU64());
   SAGED_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
   if (n > BinaryReader::kMaxLength) return Status::IoError("corrupt tree");
-  nodes_.resize(n);
-  for (auto& node : nodes_) {
+  // The count is untrusted until its bytes arrive: reserve at most a
+  // bounded prefix of it (64Ki nodes; a default depth-10 tree has at most
+  // 2047, so a real tree loads with one allocation) and grow past that.
+  constexpr uint64_t kMaxReservedNodes = uint64_t{1} << 16;
+  nodes_.clear();
+  nodes_.reserve(static_cast<size_t>(std::min(n, kMaxReservedNodes)));
+  for (uint64_t i = 0; i < n; ++i) {
+    Node node;
     SAGED_ASSIGN_OR_RETURN(node.feature, reader->ReadI32());
     SAGED_ASSIGN_OR_RETURN(node.threshold, reader->ReadF64());
     SAGED_ASSIGN_OR_RETURN(node.left, reader->ReadI32());
@@ -204,10 +210,11 @@ Status DecisionTree::Load(BinaryReader* reader) {
     SAGED_ASSIGN_OR_RETURN(node.value, reader->ReadF64());
     SAGED_ASSIGN_OR_RETURN(node.gain, reader->ReadF64());
     SAGED_ASSIGN_OR_RETURN(node.n_samples, reader->ReadU64());
-    long long max_index = static_cast<long long>(nodes_.size());
+    long long max_index = static_cast<long long>(n);
     if (node.left >= max_index || node.right >= max_index) {
       return Status::IoError("corrupt tree: child index out of range");
     }
+    nodes_.push_back(node);
   }
   return Status::OK();
 }

@@ -201,12 +201,12 @@ void CollectDetectPaths(const std::vector<telemetry::MergedSpan>& spans,
 
 // In-memory detection is the streamed driver over a single block, so both
 // paths must report their stages under one span tree: per-stage numbers
-// from the two are then directly comparable. Sequential, because a pool
-// thread that help-drains while it waits nests the task it picks up under
-// its own open spans, which makes a parallel run's tree vary run to run.
+// from the two are then directly comparable. Runs on the pool: a thread
+// that help-drains while it waits re-enters the task's span path from the
+// root, so a parallel run's tree does not vary run to run.
 TEST_F(SagedFixture, InMemoryAndStreamedRunsRecordTheSameSpanTree) {
   SagedConfig config = FastConfig();
-  config.detect_threads = 1;
+  config.detect_threads = 4;
   Saged saged = MakeLoaded(config);
   auto beers = Gen("beers", 200);
   const std::string path = ::testing::TempDir() + "span_tree_beers.csv";

@@ -4,15 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/telemetry.h"
 #include "core/config_flags.h"
 #include "core/detector.h"
 #include "core/knowledge_extractor.h"
-#include "core/serialization.h"
 #include "datagen/datasets.h"
+#include "kb/kb_builder.h"
 
 namespace saged::core {
 namespace {
@@ -33,10 +37,24 @@ datagen::Dataset Gen(const std::string& name, size_t rows) {
   return std::move(ds).value();
 }
 
-std::string SerializeKb(const Saged& saged) {
-  std::ostringstream out;
-  EXPECT_TRUE(WriteKnowledgeBase(saged.knowledge_base(), &out).ok());
-  return out.str();
+/// Writes the knowledge base as a store under `dir` and returns every file
+/// in it, name then bytes, in name order.
+std::string SerializeKb(const Saged& saged, const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(kb::WriteShardedStore(saged.knowledge_base(), dir).ok());
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::string bytes;
+  for (const auto& file : files) {
+    std::ifstream in(file, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    bytes += file.filename().string() + '\n' + buf.str();
+  }
+  return bytes;
 }
 
 Saged MakeLoaded(const SagedConfig& config) {
@@ -55,7 +73,11 @@ TEST(ParallelExtraction, ThreadCountYieldsByteIdenticalKnowledgeBase) {
   parallel.extract_threads = 4;
   Saged a = MakeLoaded(sequential);
   Saged b = MakeLoaded(parallel);
-  EXPECT_EQ(SerializeKb(a), SerializeKb(b));
+  const std::string dir = ::testing::TempDir() + "/core_parallel_test_store";
+  std::string sequential_bytes = SerializeKb(a, dir + "_1");
+  std::string parallel_bytes = SerializeKb(b, dir + "_4");
+  EXPECT_FALSE(sequential_bytes.empty());
+  EXPECT_EQ(sequential_bytes, parallel_bytes);
 }
 
 TEST(ParallelExtraction, ThreadCountDoesNotChangeDetection) {
@@ -121,10 +143,11 @@ TEST(ParallelExtraction, CacheSurvivesSerialization) {
   ASSERT_TRUE(extractor.AddDataset(adult.dirty, adult.mask, &kb).ok());
   ASSERT_EQ(kb.extraction_hashes().size(), 1u);
 
-  std::ostringstream out;
-  ASSERT_TRUE(WriteKnowledgeBase(kb, &out).ok());
-  std::istringstream in(out.str());
-  auto reloaded = ReadKnowledgeBase(&in);
+  const std::string dir =
+      ::testing::TempDir() + "/core_parallel_test_cache_store";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(kb::WriteShardedStore(kb, dir).ok());
+  auto reloaded = kb::LoadFullKnowledgeBase(dir);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded->extraction_hashes(), kb.extraction_hashes());
 

@@ -198,6 +198,52 @@ TEST(SignatureIndexTest, CorruptStreamRejected) {
   EXPECT_FALSE(SignatureIndex::Load(&reader).ok());
 }
 
+// 2^32 x 2^32 centroids: the element count wraps to 0 in 64 bits, so an
+// unchecked reader sizes an empty matrix and writes past it.
+TEST(SignatureIndexTest, OverflowingCentroidShapeRejected) {
+  std::stringstream buf;
+  BinaryWriter writer(&buf);
+  writer.WriteU64(BinaryReader::kMaxLength);
+  writer.WriteU64(BinaryReader::kMaxLength);
+  writer.WriteF64(1.0);
+  BinaryReader reader(&buf);
+  auto index = SignatureIndex::Load(&reader);
+  ASSERT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), StatusCode::kIoError);
+}
+
+TEST(SignatureIndexTest, HugeAssignmentCountRejected) {
+  for (uint64_t cols : {uint64_t{0}, uint64_t{2}}) {
+    std::stringstream buf;
+    BinaryWriter writer(&buf);
+    writer.WriteU64(1);
+    writer.WriteU64(cols);
+    for (uint64_t c = 0; c < cols; ++c) writer.WriteF64(0.5);
+    writer.WriteU64(BinaryReader::kMaxLength);
+    writer.WriteU32(0);
+    writer.WriteU32(0);
+    BinaryReader reader(&buf);
+    auto index = SignatureIndex::Load(&reader);
+    ASSERT_FALSE(index.ok()) << "cols=" << cols;
+    EXPECT_EQ(index.status().code(), StatusCode::kIoError);
+  }
+}
+
+// More buckets than entries cannot come from K-Means; with zero-width
+// centroids it would otherwise size a 2^32-bucket table from 16 bytes.
+TEST(SignatureIndexTest, MoreBucketsThanEntriesRejected) {
+  std::stringstream buf;
+  BinaryWriter writer(&buf);
+  writer.WriteU64(BinaryReader::kMaxLength);
+  writer.WriteU64(0);
+  writer.WriteU64(1);
+  writer.WriteU32(0);
+  BinaryReader reader(&buf);
+  auto index = SignatureIndex::Load(&reader);
+  ASSERT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), StatusCode::kIoError);
+}
+
 // --- IndexedMatcher parity --------------------------------------------------
 
 TEST(IndexedMatcherTest, ProbeAllIsByteIdenticalToCosineMatcher) {

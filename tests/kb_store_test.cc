@@ -1,24 +1,27 @@
-// Tests for the sharded knowledge-base store: the ShardLruCache eviction
-// policy in isolation, v2 <-> v3 migration golden-tested both directions,
+// Tests for the knowledge-base store: the ShardLruCache eviction policy in
+// isolation, a full load equal to the knowledge base it was written from,
 // lazy shard hydration with its kb.* counters, capacity-bounded residency,
-// and the end-to-end wall — detection masks through a lazily-hydrated,
-// index-matched store equal the monolithic cosine-scan masks byte for byte.
+// hostile manifests and shards, and the end-to-end wall — detection masks
+// through a lazily-hydrated, index-matched store equal the masks of the
+// in-process trained knowledge base byte for byte.
 
 #include "kb/shard_store.h"
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/telemetry.h"
 #include "core/detector.h"
-#include "core/serialization.h"
 #include "data/csv.h"
 #include "datagen/datasets.h"
+#include "features/char_space.h"
 #include "kb/kb_builder.h"
 #include "kb/model_cache.h"
 
@@ -76,12 +79,15 @@ TEST(ShardLruCacheTest, PinnedShardsAreNeverVictims) {
 
 // --- Shared trained fixture --------------------------------------------------
 
-/// One trained knowledge base, its monolithic v2 file, and its migrated v3
-/// store, built once for the whole suite (training is the slow part).
+/// One trained engine — the reference every store read is checked
+/// against — and the store written straight from its knowledge base, built
+/// once for the whole suite (training is the slow part).
 struct StoreFixture {
   core::SagedConfig config;
-  std::string v2_path;
+  std::unique_ptr<core::Saged> trained;
   std::string store_dir;
+
+  const core::KnowledgeBase& kb() const { return trained->knowledge_base(); }
 };
 
 const StoreFixture& Fixture() {
@@ -90,13 +96,13 @@ const StoreFixture& Fixture() {
     f->config.w2v.epochs = 1;
     f->config.w2v.dim = 6;
     f->config.labeling_budget = 15;
-    core::Saged saged(f->config);
+    f->trained = std::make_unique<core::Saged>(f->config);
     datagen::MakeOptions gen;
     gen.rows = 200;
     for (const char* name : {"adult", "beers"}) {
       auto ds = datagen::MakeDataset(name, gen);
       EXPECT_TRUE(ds.ok()) << ds.status().ToString();
-      EXPECT_TRUE(saged.AddHistoricalDataset(ds->dirty, ds->mask).ok());
+      EXPECT_TRUE(f->trained->AddHistoricalDataset(ds->dirty, ds->mask).ok());
     }
     // Named after the first test that builds the fixture: ctest runs every
     // case as its own process, in parallel under -j, so a fixed name would
@@ -104,12 +110,9 @@ const StoreFixture& Fixture() {
     const std::string prefix =
         testing::TempDir() + "/kb_store_test_" +
         testing::UnitTest::GetInstance()->current_test_info()->name();
-    f->v2_path = prefix + "_v2.bin";
-    f->store_dir = prefix + "_v3";
-    EXPECT_TRUE(
-        core::SaveKnowledgeBase(saged.knowledge_base(), f->v2_path).ok());
-    auto migrated = MigrateV2ToV3(f->v2_path, f->store_dir, {});
-    EXPECT_TRUE(migrated.ok()) << migrated.ToString();
+    f->store_dir = prefix + "_store";
+    auto written = WriteShardedStore(f->kb(), f->store_dir, {});
+    EXPECT_TRUE(written.ok()) << written.ToString();
     return f;
   }();
   return *fixture;
@@ -139,31 +142,21 @@ class KbCounterTest : public ::testing::Test {
   }
 };
 
-// --- Migration golden tests --------------------------------------------------
+// --- Full load -----------------------------------------------------------------
 
-TEST(ShardStoreTest, MigrationRoundTripIsByteIdentical) {
+TEST(ShardStoreTest, LoadFullEqualsTrainedKnowledgeBase) {
   const StoreFixture& f = Fixture();
-  std::string exported = testing::TempDir() + "/kb_store_test_v2_export.bin";
-  auto status = ExportMonolithic(f.store_dir, exported);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(ReadFileBytes(exported), ReadFileBytes(f.v2_path))
-      << "v2 -> v3 -> v2 must reproduce the monolithic file byte-for-byte";
-}
-
-TEST(ShardStoreTest, LoadFullEqualsMonolithicLoad) {
-  const StoreFixture& f = Fixture();
-  auto mono = core::LoadKnowledgeBase(f.v2_path);
-  ASSERT_TRUE(mono.ok());
   auto full = LoadFullKnowledgeBase(f.store_dir);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
-  ASSERT_EQ(full->size(), mono->size());
+  ASSERT_EQ(full->size(), f.kb().size());
   for (size_t i = 0; i < full->size(); ++i) {
-    EXPECT_EQ(full->entries()[i].dataset, mono->entries()[i].dataset);
-    EXPECT_EQ(full->entries()[i].column, mono->entries()[i].column);
-    EXPECT_EQ(full->entries()[i].signature, mono->entries()[i].signature);
+    EXPECT_EQ(full->entries()[i].dataset, f.kb().entries()[i].dataset);
+    EXPECT_EQ(full->entries()[i].column, f.kb().entries()[i].column);
+    EXPECT_EQ(full->entries()[i].signature, f.kb().entries()[i].signature);
     EXPECT_NE(full->entries()[i].model, nullptr);
   }
-  EXPECT_EQ(full->extraction_hashes(), mono->extraction_hashes());
+  EXPECT_EQ(full->extraction_hashes(), f.kb().extraction_hashes());
+  EXPECT_FALSE(full->has_model_provider());
 }
 
 // --- Lazy open / hydration ---------------------------------------------------
@@ -173,7 +166,6 @@ TEST(ShardStoreTest, OpenReadsManifestOnly) {
   auto store = ShardStore::Open(f.store_dir, {});
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   StoreStats stats = (*store)->GetStats();
-  EXPECT_EQ(stats.version, 3u);
   EXPECT_GT(stats.n_entries, 0u);
   EXPECT_GT(stats.n_shards, 0u);
   EXPECT_EQ(stats.n_buckets, stats.n_shards);
@@ -183,12 +175,10 @@ TEST(ShardStoreTest, OpenReadsManifestOnly) {
   // The lazily built knowledge base carries metadata but no models.
   auto kb = (*store)->MakeKnowledgeBase();
   ASSERT_TRUE(kb.ok());
-  auto mono = core::LoadKnowledgeBase(f.v2_path);
-  ASSERT_TRUE(mono.ok());
-  ASSERT_EQ(kb->size(), mono->size());
+  ASSERT_EQ(kb->size(), f.kb().size());
   for (size_t i = 0; i < kb->size(); ++i) {
-    EXPECT_EQ(kb->entries()[i].dataset, mono->entries()[i].dataset);
-    EXPECT_EQ(kb->entries()[i].signature, mono->entries()[i].signature);
+    EXPECT_EQ(kb->entries()[i].dataset, f.kb().entries()[i].dataset);
+    EXPECT_EQ(kb->entries()[i].signature, f.kb().entries()[i].signature);
     EXPECT_EQ(kb->entries()[i].model, nullptr);
   }
 }
@@ -268,22 +258,6 @@ TEST(ShardStoreTest, AcquireAllPinsEverythingDespiteCapacity) {
   EXPECT_LE((*store)->GetStats().resident_shards, 1u);
 }
 
-// --- v2 transparent open -----------------------------------------------------
-
-TEST(ShardStoreTest, MonolithicV2OpensAsSingleShardStore) {
-  const StoreFixture& f = Fixture();
-  auto store = ShardStore::Open(f.v2_path, {});
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  StoreStats stats = (*store)->GetStats();
-  EXPECT_EQ(stats.version, 2u);
-  EXPECT_EQ(stats.n_shards, 1u);
-  auto kb = (*store)->MakeKnowledgeBase();
-  ASSERT_TRUE(kb.ok());
-  auto lease = kb->AcquireModels({0});
-  ASSERT_TRUE(lease.ok()) << lease.status().ToString();
-  EXPECT_NE(kb->entries()[0].model, nullptr);
-}
-
 // --- Corrupt input -----------------------------------------------------------
 
 TEST(ShardStoreTest, CorruptManifestRejected) {
@@ -297,6 +271,86 @@ TEST(ShardStoreTest, CorruptManifestRejected) {
   EXPECT_FALSE(ShardStore::Open("/nonexistent/store", {}).ok());
 }
 
+// Every record of a one-shard store rewritten to claim entry 0: the count
+// and the shard id still check out, so only the per-record membership
+// check stands between the reader and a knowledge base whose other models
+// stay null.
+TEST(ShardStoreTest, DuplicateShardEntryRejected) {
+  const StoreFixture& f = Fixture();
+  const std::string dir = testing::TempDir() + "/kb_store_test_duplicate";
+  std::filesystem::remove_all(dir);
+  BuildOptions one_shard;
+  one_shard.n_buckets = 1;
+  ASSERT_TRUE(WriteShardedStore(f.kb(), dir, one_shard).ok());
+  const std::string shard_path = dir + "/" + ShardFilename(0);
+  std::string bytes = ReadFileBytes(shard_path);
+  {
+    // Header: magic, version, shard id (u32 each), record count (u64).
+    std::istringstream in(bytes);
+    BinaryReader reader(&in);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(reader.ReadU32().ok());
+    auto n = reader.ReadU64();
+    ASSERT_TRUE(n.ok());
+    ASSERT_GE(*n, 2u);
+    for (uint64_t i = 0; i < *n; ++i) {
+      auto at = static_cast<size_t>(in.tellg());
+      ASSERT_TRUE(reader.ReadU64().ok());
+      ASSERT_TRUE(ReadBaseModel(&reader).ok());
+      std::fill(bytes.begin() + at, bytes.begin() + at + sizeof(uint64_t),
+                '\0');
+    }
+  }
+  {
+    std::ofstream out(shard_path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+
+  auto store = ShardStore::Open(dir, {});
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto kb = (*store)->MakeKnowledgeBase();
+  ASSERT_TRUE(kb.ok());
+  auto lease = kb->AcquireModels({0});
+  ASSERT_FALSE(lease.ok());
+  EXPECT_EQ(lease.status().code(), StatusCode::kIoError);
+
+  core::Saged lazy(f.config);
+  lazy.SetKnowledgeBase(std::move(kb).value());
+  datagen::MakeOptions gen;
+  gen.rows = 50;
+  auto nasa = datagen::MakeDataset("nasa", gen);
+  ASSERT_TRUE(nasa.ok());
+  auto result = lazy.Detect(nasa->dirty, core::MaskOracle(nasa->mask));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+}
+
+// Each manifest count at the length cap, followed by a few bytes: Open must
+// fail on the missing bytes without first allocating for the count.
+TEST(ShardStoreTest, HugeManifestCountsRejected) {
+  const char* kCounts[] = {"hashes", "entries", "shards"};
+  for (int which = 0; which < 3; ++which) {
+    const std::string dir = testing::TempDir() + "/kb_store_test_huge_" +
+                            kCounts[which];
+    std::filesystem::create_directories(dir);
+    {
+      std::ofstream out(dir + "/" + kManifestFilename, std::ios::binary);
+      BinaryWriter writer(&out);
+      writer.WriteU32(kManifestMagic);
+      writer.WriteU32(kStoreVersion);
+      features::CharSpace(64).Save(&writer);
+      // Zero entries means no signature index before the shard table.
+      for (int count = 0; count <= which; ++count) {
+        writer.WriteU64(count == which ? BinaryReader::kMaxLength : 0);
+      }
+      writer.WriteU64(7);
+      writer.WriteU64(7);
+    }
+    auto store = ShardStore::Open(dir, {});
+    ASSERT_FALSE(store.ok()) << kCounts[which];
+    EXPECT_EQ(store.status().code(), StatusCode::kIoError) << kCounts[which];
+  }
+}
+
 // --- End-to-end detection parity ---------------------------------------------
 
 TEST(ShardStoreTest, DetectionMasksMatchMonolithicByteForByte) {
@@ -306,14 +360,8 @@ TEST(ShardStoreTest, DetectionMasksMatchMonolithicByteForByte) {
   auto nasa = datagen::MakeDataset("nasa", gen);
   ASSERT_TRUE(nasa.ok());
 
-  // Reference: monolithic load, exact cosine scan.
-  core::Saged reference(f.config);
-  {
-    auto kb = core::LoadKnowledgeBase(f.v2_path);
-    ASSERT_TRUE(kb.ok());
-    reference.SetKnowledgeBase(std::move(kb).value());
-  }
-  auto want = reference.Detect(nasa->dirty, core::MaskOracle(nasa->mask));
+  // Reference: the in-process trained knowledge base, never written out.
+  auto want = f.trained->Detect(nasa->dirty, core::MaskOracle(nasa->mask));
   ASSERT_TRUE(want.ok()) << want.status().ToString();
 
   // Store-backed, lazily hydrated, index-matched at probe=all, in memory

@@ -373,6 +373,30 @@ TEST_F(TelemetryTest, NestedSpanTree) {
   EXPECT_GE(outer->total_ns, inner->total_ns + other->total_ns);
 }
 
+// A thread that picks up a pooled task while its own span is open (the
+// executor's help-while-waiting) must record the task under the task's
+// captured path from the root, not nested under its own span — and get its
+// own stack back afterwards.
+TEST_F(TelemetryTest, ScopedSpanPathReentersFromTheRoot) {
+  {
+    SAGED_TRACE_SPAN("mine");
+    {
+      ScopedSpanPath reenter({"theirs"});
+      SAGED_TRACE_SPAN("work");
+    }
+    EXPECT_EQ(CurrentSpanPath(), std::vector<std::string>{"mine"});
+    SAGED_TRACE_SPAN("after");
+  }
+  auto spans = SnapshotSpans();
+  const MergedSpan* theirs = FindSpan(spans, "theirs");
+  ASSERT_NE(theirs, nullptr);
+  EXPECT_NE(FindSpan(theirs->children, "work"), nullptr);
+  const MergedSpan* mine = FindSpan(spans, "mine");
+  ASSERT_NE(mine, nullptr);
+  EXPECT_EQ(FindSpan(mine->children, "theirs"), nullptr);
+  EXPECT_NE(FindSpan(mine->children, "after"), nullptr);
+}
+
 TEST_F(TelemetryTest, SpansFromWorkerThreadsMergeByName) {
   constexpr size_t kThreads = 4;
   std::vector<std::thread> threads;

@@ -5,13 +5,14 @@
 //                  [--out-dir DIR]
 //   saged generate --corpus N [--rows R] [--seed S] [--error-rate E]
 //                  [--out-dir DIR]
-//   saged kb build-index --kb kb.bin --out DIR [--index-buckets N]
+//   saged kb build-index --kb STORE --out DIR [--index-buckets N]
 //                        [--seed S]
-//   saged kb stats --kb <kb.bin | store-dir>
+//   saged kb stats --kb STORE
 //   saged extract  --data a.csv --mask a_mask.csv
-//                  [--data b.csv --mask b_mask.csv ...] --out kb.bin
+//                  [--data b.csv --mask b_mask.csv ...] --out STORE
 //                  [--extract-threads N] [--cache on|off]
-//   saged detect   --kb kb.bin --data dirty.csv --oracle-mask truth.csv
+//                  [--index-buckets N] [--seed S]
+//   saged detect   --kb STORE --data dirty.csv --oracle-mask truth.csv
 //                  [--budget N] [--detect-threads N] [--out detections.csv]
 //                  [--stream] [--block-rows N] [--chunk-bytes N]
 //   saged pipeline [--history adult,movies] [--target beers] [--budget N]
@@ -23,18 +24,20 @@
 // mass-produces N synthetic datasets ("corpus-000000"...), each a
 // deterministic function of (index, seed), and prints one content hash per
 // dataset — the raw material for thousand-dataset knowledge bases.
-// `extract` builds and saves a knowledge base from historical datasets
-// whose dirty cells are labeled by a mask CSV.
+// `extract` builds a knowledge base from historical datasets whose dirty
+// cells are labeled by a mask CSV and writes it as a store directory (the
+// one knowledge-base format, see src/kb/kb_builder.h): a manifest with the
+// K-Means signature index plus one shard file per index bucket
+// (`--index-buckets`, default ~sqrt(models); `--seed`).
 //
-// `kb build-index` rewrites a knowledge base (monolithic v1/v2 file, or an
-// existing store) as a sharded v3 store: a manifest with the K-Means
-// signature index plus one shard file per index bucket. `kb stats` prints
-// a store's (or file's) shape. `detect --kb` and `saged_serve --kb` accept
-// a store directory anywhere they accept kb.bin, loading shards lazily;
-// with `--similarity indexed` matching probes the signature index instead
-// of scanning every entry. `detect` loads the knowledge base, spends the labeling budget
-// by asking the oracle mask, writes the detected cells as a 0/1 CSV, and —
-// since the oracle mask doubles as ground truth — prints P/R/F1.
+// `kb build-index` re-shards an existing store under a new bucket count or
+// seed. `kb stats` prints a store's shape. `detect --kb` and
+// `saged_serve --kb` open a store directory (or its manifest file), loading
+// shards lazily; with `--similarity indexed` matching probes the signature
+// index instead of scanning every entry. `detect` opens the knowledge base,
+// spends the labeling budget by asking the oracle mask, writes the detected
+// cells as a 0/1 CSV, and — since the oracle mask doubles as ground truth —
+// prints P/R/F1.
 // `pipeline` runs both phases end-to-end on generated datasets (no files
 // needed): extract from the comma-separated `--history` inventory, then
 // detect on `--target`.
@@ -71,14 +74,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "core/detector.h"
-#include "core/serialization.h"
 #include "data/content_hash.h"
 #include "data/csv.h"
 #include "data/mask_io.h"
@@ -198,7 +199,7 @@ int CmdExtract(const Args& args) {
       out.empty()) {
     std::fprintf(stderr,
                  "usage: saged extract --data a.csv --mask a_mask.csv "
-                 "[--data ... --mask ...] --out kb.bin\n");
+                 "[--data ... --mask ...] --out STORE_DIR\n");
     return 1;
   }
   Observability obs = ObsFromArgs(args);
@@ -227,7 +228,9 @@ int CmdExtract(const Args& args) {
     std::printf("extracted knowledge from %s (%zu rows)\n",
                 data_files[i].c_str(), table->NumRows());
   }
-  if (auto s = core::SaveKnowledgeBase(saged.knowledge_base(), out); !s.ok()) {
+  kb::BuildOptions build{config->index_buckets, config->seed};
+  if (auto s = kb::WriteShardedStore(saged.knowledge_base(), out, build);
+      !s.ok()) {
     return Fail(s);
   }
   std::printf("saved %zu base models to %s\n", saged.knowledge_base().size(),
@@ -245,7 +248,7 @@ int CmdDetect(const Args& args) {
   std::string oracle_path = args.Get("oracle-mask");
   if (kb_path.empty() || data_path.empty() || oracle_path.empty()) {
     std::fprintf(stderr,
-                 "usage: saged detect --kb kb.bin --data dirty.csv "
+                 "usage: saged detect --kb STORE --data dirty.csv "
                  "--oracle-mask truth.csv [--budget N] [--out out.csv] "
                  "[--stream] [--block-rows N]\n");
     return 1;
@@ -264,27 +267,16 @@ int CmdDetect(const Args& args) {
   manifest.threads = static_cast<uint32_t>(config->detect_threads);
   manifest.datasets.emplace_back(oracle_path,
                                  HexHash(MaskContentHash(*truth)));
-  // A store directory (or manifest) gets the lazy sharded path; a plain
-  // file keeps the eager monolithic load. The store is declared first so
-  // it outlives the engine, whose knowledge base hydrates through it.
-  std::unique_ptr<kb::ShardStore> store;
+  // The store is declared first so it outlives the engine, whose
+  // knowledge base hydrates its shards lazily through it.
+  kb::ShardStore::OpenOptions open_options;
+  open_options.cache_shards = config->kb_cache_shards;
+  auto store = kb::ShardStore::Open(kb_path, open_options);
+  if (!store.ok()) return Fail(store.status());
+  auto kb = (*store)->MakeKnowledgeBase();
+  if (!kb.ok()) return Fail(kb.status());
   core::Saged saged(*config);
-  std::error_code ec;
-  if (std::filesystem::is_directory(kb_path, ec) ||
-      std::filesystem::path(kb_path).filename() == kb::kManifestFilename) {
-    kb::ShardStore::OpenOptions open_options;
-    open_options.cache_shards = config->kb_cache_shards;
-    auto opened = kb::ShardStore::Open(kb_path, open_options);
-    if (!opened.ok()) return Fail(opened.status());
-    store = std::move(*opened);
-    auto kb = store->MakeKnowledgeBase();
-    if (!kb.ok()) return Fail(kb.status());
-    saged.SetKnowledgeBase(std::move(kb).value());
-  } else {
-    auto kb = core::LoadKnowledgeBase(kb_path);
-    if (!kb.ok()) return Fail(kb.status());
-    saged.SetKnowledgeBase(std::move(kb).value());
-  }
+  saged.SetKnowledgeBase(std::move(kb).value());
 
   // Both paths funnel through one DetectionRequest: the registered
   // detection flags (--stream / --block-rows / --chunk-bytes) become
@@ -396,17 +388,14 @@ int CmdKbBuildIndex(const Args& args) {
   std::string out_dir = args.Get("out");
   if (kb_path.empty() || out_dir.empty()) {
     std::fprintf(stderr,
-                 "usage: saged kb build-index --kb kb.bin --out DIR "
+                 "usage: saged kb build-index --kb STORE --out DIR "
                  "[--index-buckets N] [--seed S]\n");
     return 1;
   }
+  auto config = ConfigFromArgs(args);
+  if (!config.ok()) return Fail(config.status());
   StopWatch watch;
-  kb::BuildOptions options;
-  options.n_buckets =
-      std::strtoull(args.Get("index-buckets", "0").c_str(), nullptr, 10);
-  options.seed = std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
-  // Any input works: monolithic files load directly, store directories
-  // re-shard through the fully-hydrated path.
+  kb::BuildOptions options{config->index_buckets, config->seed};
   auto kb = kb::LoadFullKnowledgeBase(kb_path);
   if (!kb.ok()) return Fail(kb.status());
   if (auto s = kb::WriteShardedStore(*kb, out_dir, options); !s.ok()) {
@@ -425,14 +414,14 @@ int CmdKbBuildIndex(const Args& args) {
 int CmdKbStats(const Args& args) {
   std::string kb_path = args.Get("kb");
   if (kb_path.empty()) {
-    std::fprintf(stderr, "usage: saged kb stats --kb <kb.bin | store-dir>\n");
+    std::fprintf(stderr, "usage: saged kb stats --kb STORE\n");
     return 1;
   }
   auto store = kb::ShardStore::Open(kb_path, kb::ShardStore::OpenOptions{});
   if (!store.ok()) return Fail(store.status());
   kb::StoreStats stats = (*store)->GetStats();
-  std::printf("source:        %s (format v%u%s)\n", kb_path.c_str(),
-              stats.version, stats.version == 2 ? ", monolithic" : "");
+  std::printf("store:         %s (format v%u)\n", kb_path.c_str(),
+              kb::kStoreVersion);
   std::printf("base models:   %zu\n", stats.n_entries);
   std::printf("index buckets: %zu\n", stats.n_buckets);
   std::printf("shards:        %zu\n", stats.n_shards);

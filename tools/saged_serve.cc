@@ -1,6 +1,6 @@
 // saged_serve — long-lived detection daemon and its client helper.
 //
-//   saged_serve start --socket /tmp/saged.sock --kb kb.bin
+//   saged_serve start --socket /tmp/saged.sock --kb STORE
 //                     [--max-queue N] [--max-inflight N] [--warm]
 //                     [config knobs] [--telemetry-out F] [--trace-out F]
 //                     [--runs-dir DIR]
@@ -22,12 +22,12 @@
 // knobs given to `request` ride along as per-request overrides of the
 // server's base config.
 //
-// `--kb` also accepts a sharded store (`saged kb build-index` output): a
-// store directory or its manifest file. The daemon then starts after
-// reading only the manifest and signature index — base models hydrate
-// shard-by-shard on first use, bounded by `--kb-cache-shards`. Pass
-// `--warm` to hydrate and pin every model up front instead (the old
-// eager behavior, minus request-time load latency).
+// `--kb` names a knowledge-base store (`saged extract` output): a store
+// directory or its manifest file. The daemon starts after reading only the
+// manifest and signature index — base models hydrate shard-by-shard on
+// first use, bounded by `--kb-cache-shards`. Pass `--warm` to hydrate and
+// pin every model up front instead, trading startup time for no
+// request-time load latency.
 //
 // `smoke` is the self-contained health check wired into ctest: it
 // generates datasets, trains an engine, starts a server on a temp socket,
@@ -44,15 +44,11 @@
 #include <string>
 #include <vector>
 
-#include <filesystem>
-
 #include "common/stopwatch.h"
 #include "core/detector.h"
-#include "core/serialization.h"
 #include "data/csv.h"
 #include "data/mask_io.h"
 #include "datagen/datasets.h"
-#include "kb/kb_builder.h"
 #include "kb/shard_store.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -85,36 +81,27 @@ std::string ConfigFlagListFromArgs(const Args& args) {
 
 /// Loads or trains the engine's knowledge base — the once-per-process step
 /// the daemon exists to amortize. Counted so tests and telemetry can
-/// verify it really happens exactly once. When --kb names a sharded store,
-/// *store_out receives the opened store (which must outlive the engine)
-/// and the engine gets a lazily-backed knowledge base.
+/// verify it really happens exactly once. With --kb, *store_out receives the
+/// opened store (which must outlive the engine) and the engine gets a
+/// lazily-backed knowledge base.
 Status LoadEngineKnowledge(const Args& args, core::Saged* engine,
                            std::unique_ptr<kb::ShardStore>* store_out) {
   SAGED_TRACE_SPAN("serve/load_kb");
   SAGED_COUNTER_INC("serve.kb_loads");
   std::string kb_path = args.Get("kb");
   if (!kb_path.empty()) {
-    std::error_code ec;
-    bool is_store =
-        std::filesystem::is_directory(kb_path, ec) ||
-        std::filesystem::path(kb_path).filename() == kb::kManifestFilename;
-    if (is_store) {
-      kb::ShardStore::OpenOptions open_options;
-      open_options.cache_shards = engine->config().kb_cache_shards;
-      SAGED_ASSIGN_OR_RETURN(*store_out,
-                             kb::ShardStore::Open(kb_path, open_options));
-      SAGED_ASSIGN_OR_RETURN(auto kb, (*store_out)->MakeKnowledgeBase());
-      engine->SetKnowledgeBase(std::move(kb));
-      return Status::OK();
-    }
-    SAGED_ASSIGN_OR_RETURN(auto kb, core::LoadKnowledgeBase(kb_path));
+    kb::ShardStore::OpenOptions open_options;
+    open_options.cache_shards = engine->config().kb_cache_shards;
+    SAGED_ASSIGN_OR_RETURN(*store_out,
+                           kb::ShardStore::Open(kb_path, open_options));
+    SAGED_ASSIGN_OR_RETURN(auto kb, (*store_out)->MakeKnowledgeBase());
     engine->SetKnowledgeBase(std::move(kb));
     return Status::OK();
   }
   std::string history = args.Get("history");
   if (history.empty()) {
     return Status::InvalidArgument(
-        "start needs --kb kb.bin or --history name,name");
+        "start needs --kb STORE or --history name,name");
   }
   datagen::MakeOptions gen;
   gen.rows = std::strtoull(args.Get("rows", "0").c_str(), nullptr, 10);
@@ -162,7 +149,7 @@ int CmdStart(const Args& args) {
   std::string socket_path = args.Get("socket");
   if (socket_path.empty()) {
     std::fprintf(stderr,
-                 "usage: saged_serve start --socket PATH (--kb kb.bin | "
+                 "usage: saged_serve start --socket PATH (--kb STORE | "
                  "--history a,b) [--max-queue N] [--max-inflight N]\n");
     return 1;
   }
