@@ -1,4 +1,4 @@
-// Knowledge-base scale: exact cosine scan vs the kb/ signature index as the
+// Knowledge-base scale: exact cosine scan vs the signature index as the
 // historical inventory grows from 100 to 10,000 corpus datasets (one entry
 // per column, ~3.5x that in base-model entries). The quantities that matter:
 //
@@ -23,9 +23,9 @@
 #include "common/strings.h"
 #include "core/knowledge_base.h"
 #include "core/matcher.h"
+#include "core/signature_index.h"
 #include "datagen/datasets.h"
 #include "features/signature.h"
-#include "kb/signature_index.h"
 
 namespace saged::bench {
 namespace {
@@ -116,20 +116,29 @@ void BM_KbScale(benchmark::State& state) {
 
   const core::SagedConfig config = BenchConfig();
   double build_ms = 0.0;
-  Result<kb::SignatureIndex> index = Status::OK();
+  Result<core::SignatureIndex> index = Status::OK();
   build_ms = TimeMs([&] {
-    index = kb::SignatureIndex::Build(inventory, config.index_buckets,
-                                      config.seed);
+    index = core::SignatureIndex::Build(inventory.SignatureMatrix(),
+                                        config.index_buckets, config.seed);
   });
   SAGED_CHECK(index.ok()) << index.status().ToString();
+  const size_t n_buckets = index->n_buckets();
   const size_t probes = config.index_probes > 0
                             ? config.index_probes
-                            : kb::SignatureIndex::AutoProbes(index->n_buckets());
+                            : core::SignatureIndex::AutoProbes(n_buckets);
+  inventory.set_signature_index(
+      std::make_shared<const core::SignatureIndex>(std::move(index).value()));
 
-  core::CosineMatcher exact(&inventory, config.cosine_threshold,
-                            config.max_models_per_column);
-  kb::IndexedMatcher fast(&inventory, &*index, config.cosine_threshold,
-                          config.max_models_per_column, probes);
+  core::SagedConfig exact_config = config;
+  exact_config.similarity = core::SimilarityMethod::kCosine;
+  core::SagedConfig indexed_config = config;
+  indexed_config.similarity = core::SimilarityMethod::kIndexed;
+  auto exact_matcher = core::MakeMatcher(exact_config, &inventory);
+  auto fast_matcher = core::MakeMatcher(indexed_config, &inventory);
+  SAGED_CHECK(exact_matcher.ok()) << exact_matcher.status().ToString();
+  SAGED_CHECK(fast_matcher.ok()) << fast_matcher.status().ToString();
+  const core::Matcher& exact = **exact_matcher;
+  const core::Matcher& fast = **fast_matcher;
   const auto& queries = QuerySignatures();
 
   double recall_sum = 0.0;
@@ -158,8 +167,7 @@ void BM_KbScale(benchmark::State& state) {
   state.counters["speedup"] = speedup;
   state.counters["recall"] = recall;
   state.SetLabel(StrFormat("datasets=%zu entries=%zu probes=%zu/%zu",
-                           n_datasets, n_entries, probes,
-                           index->n_buckets()));
+                           n_datasets, n_entries, probes, n_buckets));
 
   const std::string scale = StrFormat("n%zu", n_datasets);
   auto& metrics = BenchMetrics();
@@ -177,7 +185,7 @@ void BM_KbScale(benchmark::State& state) {
          StrFormat("%6zu datasets %6zu entries  buckets=%-4zu probes=%-3zu  "
                    "exact=%8.2fms indexed=%8.2fms  speedup=%5.1fx  "
                    "recall@%zu=%.3f",
-                   n_datasets, n_entries, index->n_buckets(), probes,
+                   n_datasets, n_entries, n_buckets, probes,
                    exact_ms, indexed_ms, speedup,
                    config.max_models_per_column, recall));
 }

@@ -21,8 +21,9 @@ enum class ModelType {
 };
 
 /// Section 3.1's two similarity measures, plus the bucket-probing variant
-/// of the cosine measure served by the src/kb/ signature index (identical
-/// selection semantics, sub-linear candidate generation).
+/// of the cosine measure over a sharded store's signature index (identical
+/// selection semantics, sub-linear candidate generation). Each is a probe
+/// policy of the one core::Matcher.
 enum class SimilarityMethod {
   kCosine,
   kClustering,
@@ -56,19 +57,22 @@ const char* AugmentationMethodName(AugmentationMethod method);
 /// no augmentation, 20-tuple budget.
 struct SagedConfig {
   // --- similarity / matching ---
+  /// The matcher's probe policy (core/matcher.h): cosine scans every
+  /// entry, clustering probes the nearest of n_signature_clusters raw-space
+  /// K-Means buckets, indexed probes the store's signature index.
   SimilarityMethod similarity = SimilarityMethod::kClustering;
-  /// Cosine matcher: minimum signature similarity for a base model to join
-  /// B_rel.
+  /// Cosine and indexed policies: minimum signature similarity for a base
+  /// model to join B_rel.
   double cosine_threshold = 0.85;
-  /// Clustering matcher: number of K-Means clusters over historical columns.
+  /// Clustering policy: number of K-Means clusters over historical columns.
   size_t n_signature_clusters = 8;
   /// Upper bound on |B_rel| per dirty column (keeps meta-features narrow).
   size_t max_models_per_column = 8;
 
   // --- knowledge-base scale (src/kb: signature index + sharded store) ---
-  /// Indexed matcher: signature-index buckets probed per query. 0 = auto
-  /// (SignatureIndex::AutoProbes); >= the index's bucket count degrades to
-  /// the exact scan (byte-identical to similarity=cosine).
+  /// Indexed policy: signature-index buckets probed per query. 0 = auto
+  /// (SignatureIndex::AutoProbes); >= the index's bucket count is the exact
+  /// scan (byte-identical to similarity=cosine).
   size_t index_probes = 0;
   /// Signature-index / shard bucket count used when building a store
   /// (kb_builder, `saged kb build-index`). 0 = auto (~sqrt(entries)).

@@ -13,9 +13,8 @@
 
 namespace saged::core {
 
-class Matcher;
-struct SagedConfig;
 class KnowledgeBase;
+class SignatureIndex;
 
 /// One pre-trained base model B_kj and the signature of the historical
 /// column it was trained on. In a lazily-backed knowledge base (see
@@ -41,11 +40,6 @@ using ModelLease = std::shared_ptr<void>;
 /// entry indices about to be used.
 using ModelProvider =
     std::function<Result<ModelLease>(KnowledgeBase*, const std::vector<size_t>&)>;
-
-/// Hook a backing store installs so MakeMatcher(similarity=indexed) can
-/// build a matcher over the store's signature index.
-using MatcherFactory = std::function<Result<std::unique_ptr<Matcher>>(
-    const SagedConfig&, const KnowledgeBase*)>;
 
 /// Outcome of the knowledge extraction phase: the base-model zoo plus the
 /// shared character space that fixes the zero-padded feature width for every
@@ -107,13 +101,15 @@ class KnowledgeBase {
   }
   bool has_model_provider() const { return model_provider_ != nullptr; }
 
-  /// Installs the matcher hook consumed by MakeMatcher when
-  /// config.similarity == kIndexed. The factory (and whatever index it
-  /// captures) must outlive this knowledge base.
-  void SetMatcherFactory(MatcherFactory factory) {
-    matcher_factory_ = std::move(factory);
+  /// The normalized signature index MakeMatcher probes when
+  /// config.similarity == kIndexed (set by kb::ShardStore); null when the
+  /// knowledge base has none.
+  void set_signature_index(std::shared_ptr<const SignatureIndex> index) {
+    signature_index_ = std::move(index);
   }
-  const MatcherFactory& matcher_factory() const { return matcher_factory_; }
+  const std::shared_ptr<const SignatureIndex>& signature_index() const {
+    return signature_index_;
+  }
 
  private:
   features::CharSpace char_space_;
@@ -121,7 +117,7 @@ class KnowledgeBase {
   /// Ingestion order (deterministic, so serialized bytes are stable).
   std::vector<uint64_t> extraction_hashes_;
   ModelProvider model_provider_;
-  MatcherFactory matcher_factory_;
+  std::shared_ptr<const SignatureIndex> signature_index_;
 };
 
 }  // namespace saged::core

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/contracts.h"
 #include "common/telemetry.h"
-#include "ml/kmeans.h"
 
 namespace saged::core {
 
@@ -26,18 +26,10 @@ void RecordMatchTelemetry(const KnowledgeBase& kb,
   }
 }
 
-size_t MostSimilarEntry(const KnowledgeBase& kb,
-                        const std::vector<double>& signature) {
-  size_t best = 0;
-  double best_sim = -2.0;
-  for (size_t i = 0; i < kb.size(); ++i) {
-    double sim = ml::CosineSimilarity(kb.entries()[i].signature, signature);
-    if (sim > best_sim) {
-      best_sim = sim;
-      best = i;
-    }
-  }
-  return best;
+std::vector<size_t> AllEntries(size_t n) {
+  std::vector<size_t> all(n);
+  for (size_t i = 0; i < n; ++i) all[i] = i;
+  return all;
 }
 
 }  // namespace
@@ -110,53 +102,42 @@ std::vector<size_t> SelectRelevant(const KnowledgeBase& kb,
   return out;
 }
 
-CosineMatcher::CosineMatcher(const KnowledgeBase* kb, double threshold,
-                             size_t max_models)
-    : kb_(kb), threshold_(threshold), max_models_(max_models) {}
+Matcher::Matcher(const KnowledgeBase* kb,
+                 std::shared_ptr<const SignatureIndex> partition,
+                 size_t probes, double threshold, size_t max_models,
+                 bool count_index_probes)
+    : kb_(kb),
+      partition_(std::move(partition)),
+      probes_(probes),
+      threshold_(threshold),
+      max_models_(max_models),
+      count_index_probes_(count_index_probes) {}
 
-std::vector<size_t> CosineMatcher::Match(
-    const std::vector<double>& signature) const {
-  std::vector<size_t> all(kb_->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  return SelectRelevant(*kb_, signature, std::move(all), threshold_,
-                        max_models_);
-}
-
-Result<std::unique_ptr<ClusterMatcher>> ClusterMatcher::Create(
-    const KnowledgeBase* kb, size_t n_clusters, size_t max_models,
-    uint64_t seed) {
-  if (kb->empty()) return Status::InvalidArgument("empty knowledge base");
-  auto matcher =
-      std::unique_ptr<ClusterMatcher>(new ClusterMatcher(kb, max_models));
-  ml::KMeans kmeans(std::min(n_clusters, kb->size()), 100, seed);
-  SAGED_RETURN_NOT_OK(kmeans.Fit(kb->SignatureMatrix()));
-  matcher->centroids_ = kmeans.centroids();
-  matcher->cluster_members_.assign(kmeans.k(), {});
-  for (size_t i = 0; i < kb->size(); ++i) {
-    matcher->cluster_members_[kmeans.labels()[i]].push_back(i);
-  }
-  return matcher;
-}
-
-std::vector<size_t> ClusterMatcher::Match(
-    const std::vector<double>& signature) const {
-  // Nearest centroid.
-  size_t best_c = 0;
-  double best = std::numeric_limits<double>::max();
-  for (size_t c = 0; c < centroids_.rows(); ++c) {
-    double d = ml::EuclideanDistance(centroids_.Row(c), signature);
-    if (d < best) {
-      best = d;
-      best_c = c;
+std::vector<size_t> Matcher::Match(const std::vector<double>& signature) const {
+  if (partition_ == nullptr || probes_ >= partition_->n_buckets()) {
+    // The exact scan: every entry, ascending, without touching centroids.
+    if (count_index_probes_) {
+      SAGED_COUNTER_INC("kb.index_queries");
+      SAGED_COUNTER_ADD("kb.index_candidates", kb_->size());
     }
+    return SelectRelevant(*kb_, signature, AllEntries(kb_->size()),
+                          threshold_, max_models_);
   }
-  std::vector<size_t> out = cluster_members_[best_c];
-  if (out.empty() && !kb_->empty()) {
-    out.push_back(MostSimilarEntry(*kb_, signature));
+  SignatureIndex::Probed probed = partition_->Probe(signature, probes_);
+  if (count_index_probes_) {
+    SAGED_COUNTER_INC("kb.index_queries");
+    SAGED_COUNTER_ADD("kb.index_candidates", probed.entries.size());
   }
-  // The cluster inherits wholesale (no threshold), then the shared cap.
-  return SelectRelevant(*kb_, signature, std::move(out), kNoMatchThreshold,
-                        max_models_);
+  if (probed.entries.empty()) {
+    // Every probed bucket is empty: fall back to the whole knowledge base's
+    // most similar entry (SelectRelevant's fallback, since no similarity
+    // reaches an infinite threshold).
+    return SelectRelevant(*kb_, signature, AllEntries(kb_->size()),
+                          std::numeric_limits<double>::infinity(),
+                          max_models_);
+  }
+  return SelectRelevant(*kb_, signature, std::move(probed.entries),
+                        std::move(probed.sims), threshold_, max_models_);
 }
 
 Result<std::unique_ptr<Matcher>> MakeMatcher(const SagedConfig& config,
@@ -165,25 +146,41 @@ Result<std::unique_ptr<Matcher>> MakeMatcher(const SagedConfig& config,
     return Status::InvalidArgument(
         "knowledge base is empty; run knowledge extraction first");
   }
+  const size_t max_models = config.max_models_per_column;
   switch (config.similarity) {
     case SimilarityMethod::kCosine:
-      return std::unique_ptr<Matcher>(std::make_unique<CosineMatcher>(
-          kb, config.cosine_threshold, config.max_models_per_column));
+      return std::make_unique<Matcher>(kb, nullptr, 0, config.cosine_threshold,
+                                       max_models,
+                                       /*count_index_probes=*/false);
     case SimilarityMethod::kClustering: {
       SAGED_ASSIGN_OR_RETURN(
-          auto matcher,
-          ClusterMatcher::Create(kb, config.n_signature_clusters,
-                                 config.max_models_per_column, config.seed));
-      return std::unique_ptr<Matcher>(std::move(matcher));
+          SignatureIndex partition,
+          SignatureIndex::Build(kb->SignatureMatrix(),
+                                config.n_signature_clusters, config.seed,
+                                SignatureIndex::Space::kRaw));
+      return std::make_unique<Matcher>(
+          kb, std::make_shared<const SignatureIndex>(std::move(partition)), 1,
+          kNoMatchThreshold, max_models, /*count_index_probes=*/false);
     }
     case SimilarityMethod::kIndexed: {
-      if (kb->matcher_factory() == nullptr) {
+      const std::shared_ptr<const SignatureIndex>& index =
+          kb->signature_index();
+      if (index == nullptr) {
         return Status::InvalidArgument(
             "similarity=indexed needs an index-bearing knowledge base: open "
-            "a sharded store (kb::ShardStore) or attach a signature index "
-            "(kb::AttachIndex / `saged kb build-index`) first");
+            "a sharded store (kb::ShardStore) first");
       }
-      return kb->matcher_factory()(config, kb);
+      if (index->n_entries() != kb->size()) {
+        return Status::InvalidArgument(
+            "signature index covers a different knowledge base (entry "
+            "counts differ); rebuild it with `saged kb build-index`");
+      }
+      const size_t probes = config.index_probes != 0
+                                ? config.index_probes
+                                : SignatureIndex::AutoProbes(index->n_buckets());
+      return std::make_unique<Matcher>(kb, index, probes,
+                                       config.cosine_threshold, max_models,
+                                       /*count_index_probes=*/true);
     }
   }
   return Status::InvalidArgument("unknown similarity method");

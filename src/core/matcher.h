@@ -7,30 +7,16 @@
 #include "common/status.h"
 #include "core/config.h"
 #include "core/knowledge_base.h"
+#include "core/signature_index.h"
 
 namespace saged::core {
 
-/// Selects the relevant base pre-trained models B_rel for one dirty column,
-/// given its signature (Section 3.1).
-class Matcher {
- public:
-  virtual ~Matcher() = default;
-
-  /// Indices into kb.entries() whose historical columns are similar enough
-  /// to the dirty column. Never empty for a non-empty knowledge base: when
-  /// nothing clears the bar, the single most similar entry is returned so
-  /// detection can proceed (documented fallback).
-  virtual std::vector<size_t> Match(
-      const std::vector<double>& signature) const = 0;
-};
-
 /// Sentinel threshold below any cosine similarity: SelectRelevant keeps
-/// every candidate (the cluster matcher's "inherit the whole cluster").
+/// every candidate (the clustering policy's "inherit the whole cluster").
 inline constexpr double kNoMatchThreshold = -2.0;
 
-/// Shared B_rel selection over an explicit candidate set. Every matcher —
-/// the cosine scan, the cluster matcher's cap, and the kb/ signature
-/// index — funnels through this, so index-vs-scan parity is well-defined:
+/// Shared B_rel selection over an explicit candidate set. Every matcher
+/// policy funnels through this, so index-vs-scan parity is well-defined:
 ///   1. candidates with similarity >= threshold survive, in candidate
 ///      order;
 ///   2. when none survives (and candidates is non-empty), the single most
@@ -46,7 +32,7 @@ std::vector<size_t> SelectRelevant(const KnowledgeBase& kb,
 
 /// SelectRelevant with the similarities already computed: sims[i] must be
 /// bit-identical to CosineSimilarity(entries[candidates[i]].signature,
-/// signature). The kb/ signature index computes them from its packed
+/// signature). SignatureIndex::Probe computes them from its packed
 /// bucket-major signature copy (contiguous scan instead of a pointer-chase
 /// per candidate); since the copies are exact, selection — and therefore
 /// every downstream mask byte — matches the scan path.
@@ -56,45 +42,44 @@ std::vector<size_t> SelectRelevant(const KnowledgeBase& kb,
                                    std::vector<double> sims, double threshold,
                                    size_t max_models);
 
-/// Cosine-similarity matcher: every entry with sim >= threshold joins B_rel.
-class CosineMatcher : public Matcher {
+/// Selects the relevant base pre-trained models B_rel for one dirty column,
+/// given its signature (Section 3.1). Every SimilarityMethod is one probe
+/// policy over a SignatureIndex partition of the knowledge base:
+///   * cosine: no partition; every entry is a candidate, and those with
+///     similarity >= cosine_threshold join B_rel;
+///   * clustering: a raw-space K-Means partition with n_signature_clusters
+///     buckets, fitted per matcher; the nearest bucket is probed once and
+///     its members join B_rel wholesale (kNoMatchThreshold, Figure 4);
+///   * indexed: the knowledge base's normalized signature index, probed
+///     index_probes times (0 = AutoProbes), with cosine_threshold.
+/// Candidates then go through SelectRelevant. Probing every bucket is the
+/// exact scan, byte-identical to cosine. When every probed bucket is empty
+/// (K-Means may leave a bucket empty, and a loaded index may carry one),
+/// the knowledge base's single most similar entry is returned, so Match is
+/// never empty for a non-empty knowledge base.
+class Matcher {
  public:
-  CosineMatcher(const KnowledgeBase* kb, double threshold, size_t max_models);
-  std::vector<size_t> Match(const std::vector<double>& signature) const override;
+  /// `partition` == nullptr scans every entry. `count_index_probes` records
+  /// the kb.index_queries / kb.index_candidates counters (indexed policy).
+  Matcher(const KnowledgeBase* kb,
+          std::shared_ptr<const SignatureIndex> partition, size_t probes,
+          double threshold, size_t max_models, bool count_index_probes);
+
+  /// Indices into kb.entries(), selected as documented on the class.
+  std::vector<size_t> Match(const std::vector<double>& signature) const;
 
  private:
   const KnowledgeBase* kb_;
+  std::shared_ptr<const SignatureIndex> partition_;
+  size_t probes_;
   double threshold_;
   size_t max_models_;
+  bool count_index_probes_;
 };
 
-/// K-Means matcher: historical column signatures are clustered offline; a
-/// dirty column is assigned to its nearest cluster and inherits that
-/// cluster's base models (Figure 4).
-class ClusterMatcher : public Matcher {
- public:
-  /// Fits K-Means over the knowledge base's signatures.
-  static Result<std::unique_ptr<ClusterMatcher>> Create(
-      const KnowledgeBase* kb, size_t n_clusters, size_t max_models,
-      uint64_t seed);
-
-  std::vector<size_t> Match(const std::vector<double>& signature) const override;
-
- private:
-  ClusterMatcher(const KnowledgeBase* kb, size_t max_models)
-      : kb_(kb), max_models_(max_models) {}
-
-  const KnowledgeBase* kb_;
-  size_t max_models_;
-  ml::Matrix centroids_;
-  std::vector<std::vector<size_t>> cluster_members_;
-};
-
-/// Builds the matcher selected by `config`. `similarity = kIndexed`
-/// requires an index-bearing knowledge base (one whose matcher factory was
-/// installed by kb::AttachIndex or a kb::ShardStore); the factory then
-/// builds the bucket-probing matcher, and everything else about matching
-/// semantics stays as documented on SelectRelevant.
+/// Builds the matcher policy selected by `config`. `similarity = kIndexed`
+/// requires a knowledge base carrying a signature index over all of its
+/// entries (a kb::ShardStore product).
 Result<std::unique_ptr<Matcher>> MakeMatcher(const SagedConfig& config,
                                              const KnowledgeBase* kb);
 

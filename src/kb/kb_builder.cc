@@ -3,8 +3,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "core/signature_index.h"
 #include "kb/shard_store.h"
-#include "kb/signature_index.h"
 #include "ml/gradient_boosting.h"
 #include "ml/logistic_regression.h"
 #include "ml/random_forest.h"
@@ -46,9 +46,10 @@ Status WriteShardedStore(const core::KnowledgeBase& kb, const std::string& dir,
           "(kb::LoadFullKnowledgeBase) before sharding it");
     }
   }
-  SAGED_ASSIGN_OR_RETURN(
-      SignatureIndex index,
-      SignatureIndex::Build(kb, options.n_buckets, options.seed));
+  SAGED_ASSIGN_OR_RETURN(core::SignatureIndex index,
+                         core::SignatureIndex::Build(kb.SignatureMatrix(),
+                                                     options.n_buckets,
+                                                     options.seed));
 
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -119,7 +120,6 @@ Result<core::KnowledgeBase> LoadFullKnowledgeBase(const std::string& path) {
   // store hooks and it is fully self-contained.
   lease.reset();
   kb.SetModelProvider(core::ModelProvider());
-  kb.SetMatcherFactory(core::MatcherFactory());
   return kb;
 }
 

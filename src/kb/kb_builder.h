@@ -49,7 +49,8 @@ struct BuildOptions {
 
 /// Loads a store into a fully-hydrated, self-contained KnowledgeBase (no
 /// store hooks, no leases; every model resident and owned by the returned
-/// object) — for callers that extend or re-shard a knowledge base.
+/// object, the signature index shared) — for callers that extend or
+/// re-shard a knowledge base.
 [[nodiscard]] Result<core::KnowledgeBase> LoadFullKnowledgeBase(
     const std::string& path);
 

@@ -10,6 +10,7 @@
 #include "common/executor.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
+#include "features/signature.h"
 #include "kb/kb_builder.h"
 
 namespace saged::kb {
@@ -69,16 +70,26 @@ Result<std::unique_ptr<ShardStore>> ShardStore::Open(
     SAGED_ASSIGN_OR_RETURN(meta.dataset, reader.ReadString());
     SAGED_ASSIGN_OR_RETURN(meta.column, reader.ReadString());
     SAGED_ASSIGN_OR_RETURN(meta.signature, reader.ReadF64Vector());
+    if (meta.signature.size() != features::kSignatureWidth) {
+      return Status::IoError("entry " + std::to_string(i) +
+                             " has a signature of width " +
+                             std::to_string(meta.signature.size()) +
+                             ", not " +
+                             std::to_string(features::kSignatureWidth));
+    }
     SAGED_ASSIGN_OR_RETURN(meta.shard, reader.ReadU32());
     store->entries_.push_back(std::move(meta));
   }
 
   if (n_entries > 0) {
-    SAGED_ASSIGN_OR_RETURN(store->index_, SignatureIndex::Load(&reader));
-    store->has_index_ = true;
-    if (store->index_.n_entries() != n_entries) {
-      return Status::IoError("signature index disagrees with entry count");
+    ml::Matrix signatures;
+    for (const EntryMeta& meta : store->entries_) {
+      signatures.AppendRow(meta.signature);
     }
+    SAGED_ASSIGN_OR_RETURN(core::SignatureIndex index,
+                           core::SignatureIndex::Load(&reader, signatures));
+    store->index_ =
+        std::make_shared<const core::SignatureIndex>(std::move(index));
   }
 
   SAGED_ASSIGN_OR_RETURN(uint64_t n_shards, reader.ReadU64());
@@ -127,14 +138,7 @@ Result<core::KnowledgeBase> ShardStore::MakeKnowledgeBase() {
       [this](core::KnowledgeBase* target, const std::vector<size_t>& indices) {
         return Acquire(target, indices);
       });
-  if (has_index_) {
-    // The manifest carries only centroids + assignments; rebuild the
-    // bucket-major packed signature copy the probing matcher scans. Runs at
-    // open time (MakeKnowledgeBase precedes any query), so queries never
-    // see a half-packed index.
-    if (!index_.packed()) index_.PackSignatures(kb);
-    AttachIndex(&kb, &index_);
-  }
+  kb.set_signature_index(index_);
   return kb;
 }
 
@@ -312,7 +316,7 @@ StoreStats ShardStore::GetStats() const {
   StoreStats stats;
   stats.n_entries = entries_.size();
   stats.n_shards = shards_.size();
-  stats.n_buckets = has_index_ ? index_.n_buckets() : 0;
+  stats.n_buckets = index_ != nullptr ? index_->n_buckets() : 0;
   stats.shard_sizes.reserve(shards_.size());
   for (const ShardMeta& meta : shards_) stats.shard_sizes.push_back(meta.n_models);
   std::lock_guard<std::mutex> lock(mu_);

@@ -11,9 +11,9 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/knowledge_base.h"
+#include "core/signature_index.h"
 #include "features/char_space.h"
 #include "kb/model_cache.h"
-#include "kb/signature_index.h"
 #include "ml/classifier.h"
 
 namespace saged::kb {
@@ -64,9 +64,9 @@ class ShardStore {
   ShardStore& operator=(const ShardStore&) = delete;
 
   /// Builds a knowledge base holding every entry's metadata with models
-  /// unhydrated, wired back to this store: a ModelProvider for lazy
-  /// hydration and (via AttachIndex) a MatcherFactory honoring
-  /// `similarity = indexed`.
+  /// unhydrated, wired back to this store through a ModelProvider for lazy
+  /// hydration, and carrying the store's signature index so
+  /// `similarity = indexed` works.
   Result<core::KnowledgeBase> MakeKnowledgeBase();
 
   /// Hydrates and pins every shard (serve warm mode, LoadFullKnowledgeBase).
@@ -76,7 +76,7 @@ class ShardStore {
   size_t n_entries() const { return entries_.size(); }
   size_t n_shards() const { return shards_.size(); }
   /// nullptr only for an empty store.
-  const SignatureIndex* index() const { return has_index_ ? &index_ : nullptr; }
+  const core::SignatureIndex* index() const { return index_.get(); }
   const features::CharSpace& char_space() const { return char_space_; }
 
   StoreStats GetStats() const;
@@ -124,8 +124,8 @@ class ShardStore {
   std::vector<ShardMeta> shards_;
   /// Shard id -> entry indices (ascending); immutable after Open.
   std::vector<std::vector<size_t>> shard_members_;
-  SignatureIndex index_;
-  bool has_index_ = false;
+  /// Packed at Open; shared with every knowledge base this store makes.
+  std::shared_ptr<const core::SignatureIndex> index_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

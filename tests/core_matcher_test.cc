@@ -7,6 +7,7 @@
 #include "core/knowledge_extractor.h"
 #include "core/matcher.h"
 #include "core/meta_features.h"
+#include "data/content_hash.h"
 #include "datagen/datasets.h"
 #include "features/featurizer.h"
 #include "features/signature.h"
@@ -33,6 +34,22 @@ KnowledgeBase FakeKb(size_t n_entries) {
   return kb;
 }
 
+/// The matcher MakeMatcher builds for `similarity` at the given knobs.
+std::unique_ptr<Matcher> MatcherFor(const KnowledgeBase& kb,
+                                    SimilarityMethod similarity,
+                                    double threshold, size_t max_models,
+                                    size_t n_clusters = 8, uint64_t seed = 42) {
+  SagedConfig config;
+  config.similarity = similarity;
+  config.cosine_threshold = threshold;
+  config.max_models_per_column = max_models;
+  config.n_signature_clusters = n_clusters;
+  config.seed = seed;
+  auto matcher = MakeMatcher(config, &kb);
+  EXPECT_TRUE(matcher.ok()) << matcher.status().ToString();
+  return std::move(matcher).value();
+}
+
 TEST(KnowledgeBaseTest, CountsDatasets) {
   KnowledgeBase kb = FakeKb(8);
   EXPECT_EQ(kb.size(), 8u);
@@ -43,9 +60,9 @@ TEST(KnowledgeBaseTest, CountsDatasets) {
 
 TEST(CosineMatcherTest, ThresholdFilters) {
   KnowledgeBase kb = FakeKb(8);
-  CosineMatcher matcher(&kb, 0.99, 16);
+  auto matcher = MatcherFor(kb, SimilarityMethod::kCosine, 0.99, 16);
   // Query exactly equal to entry 0's signature.
-  auto matches = matcher.Match(kb.entries()[0].signature);
+  auto matches = matcher->Match(kb.entries()[0].signature);
   ASSERT_FALSE(matches.empty());
   for (size_t idx : matches) {
     EXPECT_GE(ml::CosineSimilarity(kb.entries()[idx].signature,
@@ -56,28 +73,30 @@ TEST(CosineMatcherTest, ThresholdFilters) {
 
 TEST(CosineMatcherTest, FallsBackToMostSimilar) {
   KnowledgeBase kb = FakeKb(4);
-  CosineMatcher matcher(&kb, 1.1, 16);  // impossible threshold
+  auto matcher =
+      MatcherFor(kb, SimilarityMethod::kCosine, 1.1, 16);  // impossible bar
   std::vector<double> query(features::kSignatureWidth, 0.1);
-  auto matches = matcher.Match(query);
+  auto matches = matcher->Match(query);
   EXPECT_EQ(matches.size(), 1u);  // single best entry
 }
 
 TEST(CosineMatcherTest, CapsModelCount) {
   KnowledgeBase kb = FakeKb(12);
-  CosineMatcher matcher(&kb, -1.0, 3);  // accept everything, cap at 3
+  // Accept everything, cap at 3.
+  auto matcher = MatcherFor(kb, SimilarityMethod::kCosine, -1.0, 3);
   std::vector<double> query(features::kSignatureWidth, 0.1);
-  auto matches = matcher.Match(query);
+  auto matches = matcher->Match(query);
   EXPECT_EQ(matches.size(), 3u);
 }
 
 TEST(ClusterMatcherTest, AssignsToNearestCluster) {
   KnowledgeBase kb = FakeKb(12);
-  auto matcher = ClusterMatcher::Create(&kb, 4, 16, 7);
-  ASSERT_TRUE(matcher.ok());
+  auto matcher = MatcherFor(kb, SimilarityMethod::kClustering, 0.85, 16,
+                            /*n_clusters=*/4, /*seed=*/7);
   // Querying with an existing entry's signature returns a cluster that
   // contains that entry.
   for (size_t i = 0; i < kb.size(); ++i) {
-    auto matches = (*matcher)->Match(kb.entries()[i].signature);
+    auto matches = matcher->Match(kb.entries()[i].signature);
     EXPECT_FALSE(matches.empty());
     bool contains_self = false;
     for (size_t idx : matches) contains_self |= idx == i;
@@ -143,14 +162,16 @@ TEST(SelectRelevantTest, PrecomputedSimsOverloadMatchesComputePath) {
 
 TEST(CosineMatcherTest, TiedEntriesTruncateDeterministically) {
   KnowledgeBase kb = TiedKb(10);
-  CosineMatcher matcher(&kb, 0.5, 4);
-  auto matches = matcher.Match(kb.entries()[0].signature);
+  auto matcher = MatcherFor(kb, SimilarityMethod::kCosine, 0.5, 4);
+  auto matches = matcher->Match(kb.entries()[0].signature);
   EXPECT_EQ(matches, (std::vector<size_t>{0, 1, 2, 3}));
 }
 
 TEST(ClusterMatcherTest, EmptyKbRejected) {
   KnowledgeBase kb(16);
-  EXPECT_FALSE(ClusterMatcher::Create(&kb, 4, 16, 7).ok());
+  SagedConfig config;
+  config.similarity = SimilarityMethod::kClustering;
+  EXPECT_FALSE(MakeMatcher(config, &kb).ok());
 }
 
 TEST(MakeMatcherTest, BuildsBothKinds) {
@@ -166,6 +187,61 @@ TEST(MakeMatcherTest, EmptyKbRejected) {
   KnowledgeBase kb(16);
   SagedConfig config;
   EXPECT_FALSE(MakeMatcher(config, &kb).ok());
+}
+
+// --- Clustering policy golden ---------------------------------------------------
+
+/// FNV-1a over every selection (its size, then its indices) the clustering
+/// policy makes for FakeKb(12)'s own signatures plus three off-axis queries.
+uint64_t ClusteringSelectionDigest(size_t k, uint64_t seed, size_t max_models) {
+  KnowledgeBase kb = FakeKb(12);
+  auto matcher =
+      MatcherFor(kb, SimilarityMethod::kClustering, 0.85, max_models, k, seed);
+  std::vector<std::vector<double>> queries;
+  for (const auto& entry : kb.entries()) queries.push_back(entry.signature);
+  queries.emplace_back(features::kSignatureWidth, 0.1);
+  std::vector<double> mixed(features::kSignatureWidth, 0.0);
+  mixed[0] = 1.0;
+  mixed[1] = 1.0;
+  mixed[5] = 0.3;
+  queries.push_back(mixed);
+  std::vector<double> stats_only(features::kSignatureWidth, 0.0);
+  stats_only[4] = 0.5;
+  stats_only[6] = 0.5;
+  stats_only[3] = 0.2;
+  queries.push_back(stats_only);
+  Fnv1a h;
+  for (const auto& query : queries) {
+    std::vector<size_t> selected = matcher->Match(query);
+    h.Update(selected.size());
+    for (size_t i : selected) h.Update(i);
+  }
+  return h.Digest();
+}
+
+// Selections recorded from the standalone K-Means matcher class that the
+// clustering policy replaced, for every (k, seed, max_models) combination
+// below: the policy must fit and probe exactly as it did.
+TEST(ClusterMatcherTest, SelectionsMatchParentGolden) {
+  struct Golden {
+    size_t k;
+    uint64_t seed;
+    size_t max_models;
+    uint64_t digest;
+  };
+  const Golden kGolden[] = {
+      {1, 7, 3, 0x92f25dfb8d422be8ull},  {1, 7, 16, 0xd7055668ba98ea09ull},
+      {1, 42, 3, 0x92f25dfb8d422be8ull}, {1, 42, 16, 0xd7055668ba98ea09ull},
+      {4, 7, 3, 0x52e261ce22bb12aaull},  {4, 7, 16, 0x52e261ce22bb12aaull},
+      {4, 42, 3, 0xa5a454dcee2f46ebull}, {4, 42, 16, 0xa5a454dcee2f46ebull},
+      {8, 7, 3, 0xcfe68317d790cb89ull},  {8, 7, 16, 0xcfe68317d790cb89ull},
+      {8, 42, 3, 0x764a627a679b814full}, {8, 42, 16, 0x764a627a679b814full},
+  };
+  for (const Golden& g : kGolden) {
+    EXPECT_EQ(ClusteringSelectionDigest(g.k, g.seed, g.max_models), g.digest)
+        << "k=" << g.k << " seed=" << g.seed
+        << " max_models=" << g.max_models;
+  }
 }
 
 // --- Knowledge extraction over real generated data -----------------------------

@@ -22,6 +22,7 @@
 #include "data/csv.h"
 #include "datagen/datasets.h"
 #include "features/char_space.h"
+#include "features/signature.h"
 #include "kb/kb_builder.h"
 #include "kb/model_cache.h"
 
@@ -349,6 +350,42 @@ TEST(ShardStoreTest, HugeManifestCountsRejected) {
     ASSERT_FALSE(store.ok()) << kCounts[which];
     EXPECT_EQ(store.status().code(), StatusCode::kIoError) << kCounts[which];
   }
+}
+
+// One entry's signature a column wider than the rest: the store must fail
+// to open with IoError instead of aborting when it packs the signatures.
+TEST(ShardStoreTest, MixedSignatureWidthsRejected) {
+  const std::string dir = testing::TempDir() + "/kb_store_test_mixed_widths";
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream out(dir + "/" + kManifestFilename, std::ios::binary);
+    BinaryWriter writer(&out);
+    writer.WriteU32(kManifestMagic);
+    writer.WriteU32(kStoreVersion);
+    features::CharSpace(64).Save(&writer);
+    writer.WriteU64(0);  // extraction hashes
+    writer.WriteU64(2);  // entries
+    for (size_t width :
+         {features::kSignatureWidth, features::kSignatureWidth + 1}) {
+      writer.WriteString("ds");
+      writer.WriteString("col" + std::to_string(width));
+      writer.WriteF64Vector(std::vector<double>(width, 0.5));
+      writer.WriteU32(0);
+    }
+    // Signature index: one bucket holding both entries.
+    writer.WriteU64(1);
+    writer.WriteU64(features::kSignatureWidth);
+    for (size_t c = 0; c < features::kSignatureWidth; ++c) writer.WriteF64(0.5);
+    writer.WriteU64(2);
+    writer.WriteU32(0);
+    writer.WriteU32(0);
+    writer.WriteU64(1);  // shard table
+    writer.WriteString(ShardFilename(0));
+    writer.WriteU64(2);
+  }
+  auto store = ShardStore::Open(dir, {});
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kIoError);
 }
 
 // --- End-to-end detection parity ---------------------------------------------
