@@ -77,9 +77,10 @@ struct SagedConfig {
   /// Signature-index / shard bucket count used when building a store
   /// (kb_builder, `saged kb build-index`). 0 = auto (~sqrt(entries)).
   size_t index_buckets = 0;
-  /// Model-cache capacity of a lazily-loaded sharded store: at most this
-  /// many shards stay resident (whole shards evict LRU-first once no
-  /// detection pins them). 0 = unbounded.
+  /// Model-cache capacity of a lazily-loaded sharded store, in shards: at
+  /// most as many models as this many of the largest shards hold stay
+  /// resident (models evict LRU-first once no detection pins them).
+  /// 0 = unbounded.
   size_t kb_cache_shards = 0;
 
   // --- semi-supervised learning ---

@@ -70,7 +70,8 @@ const std::vector<ConfigFlag>& SagedConfigFlags() {
       {"index-buckets",
        "signature-index / shard bucket count when building a store (0 = auto)"},
       {"kb-cache-shards",
-       "lazily-loaded store: max shards resident at once (0 = unbounded)"},
+       "lazily-loaded store: keep at most as many models resident as the N "
+       "largest shards hold (0 = unbounded)"},
       {"labeling",
        "tuple selection: random | heuristic | clustering | active_learning"},
       {"augmentation",

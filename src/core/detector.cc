@@ -327,7 +327,7 @@ Result<DetectionResult> Saged::DetectBlocks(const SagedConfig& config,
     std::vector<features::FeatureArena> arenas(tasks);
     std::vector<ml::Matrix> feature_scratch(tasks);
     // A column pins its matched base models from its first block through
-    // its last (a lazily-backed knowledge base hydrates missing shards on
+    // its last (a lazily-backed knowledge base decodes missing models on
     // acquire; an in-memory one hands back a null lease), so inference
     // never sees an evicted model, yet a one-block run pins only the
     // columns in flight, not the union over all columns.

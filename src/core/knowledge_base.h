@@ -19,7 +19,7 @@ class SignatureIndex;
 /// One pre-trained base model B_kj and the signature of the historical
 /// column it was trained on. In a lazily-backed knowledge base (see
 /// src/kb/shard_store.h) `model` may be nullptr until the owning store
-/// hydrates the entry's shard; the metadata fields are always resident.
+/// hydrates the entry; the metadata fields are always resident.
 struct BaseModelEntry {
   std::string dataset;
   std::string column;
@@ -29,7 +29,7 @@ struct BaseModelEntry {
 
 /// RAII pin on a set of lazily-loaded base models: while any lease covering
 /// an entry is alive, the backing store keeps that entry's model resident
-/// (and never evicts its shard). Releasing the last lease makes the models
+/// (and never evicts it). Releasing the last lease makes the models
 /// evictable again. For fully-resident knowledge bases the lease is null
 /// and means nothing.
 using ModelLease = std::shared_ptr<void>;

@@ -6,50 +6,44 @@
 
 namespace saged::kb {
 
-size_t ShardLruCache::ResidentCount() const {
-  size_t n = 0;
-  for (const auto& s : shards_) n += s.resident ? 1 : 0;
-  return n;
+void ShardLruCache::MarkResident(size_t model) {
+  SAGED_DCHECK_LT(model, models_.size());
+  if (!models_[model].resident) ++resident_;
+  models_[model].resident = true;
+  models_[model].last_use = ++clock_;
 }
 
-void ShardLruCache::MarkResident(size_t shard) {
-  SAGED_DCHECK_LT(shard, shards_.size());
-  shards_[shard].resident = true;
-  shards_[shard].last_use = ++clock_;
+void ShardLruCache::MarkEvicted(size_t model) {
+  SAGED_DCHECK_LT(model, models_.size());
+  SAGED_DCHECK_EQ(models_[model].pins, 0u);
+  if (models_[model].resident) --resident_;
+  models_[model].resident = false;
 }
 
-void ShardLruCache::MarkEvicted(size_t shard) {
-  SAGED_DCHECK_LT(shard, shards_.size());
-  SAGED_DCHECK_EQ(shards_[shard].pins, 0u);
-  shards_[shard].resident = false;
+void ShardLruCache::Unpin(size_t model) {
+  SAGED_DCHECK_GT(models_[model].pins, 0u);
+  --models_[model].pins;
 }
 
-void ShardLruCache::Unpin(size_t shard) {
-  SAGED_DCHECK_GT(shards_[shard].pins, 0u);
-  --shards_[shard].pins;
-}
-
-void ShardLruCache::Touch(size_t shard) {
-  SAGED_DCHECK_LT(shard, shards_.size());
-  shards_[shard].last_use = ++clock_;
+void ShardLruCache::Touch(size_t model) {
+  SAGED_DCHECK_LT(model, models_.size());
+  models_[model].last_use = ++clock_;
 }
 
 std::vector<size_t> ShardLruCache::EvictionVictims() const {
-  if (capacity_ == 0) return {};
-  size_t resident = ResidentCount();
-  if (resident <= capacity_) return {};
+  if (capacity_ == 0 || resident_ <= capacity_) return {};
 
   std::vector<size_t> evictable;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i].resident && shards_[i].pins == 0) evictable.push_back(i);
+  for (size_t i = 0; i < models_.size(); ++i) {
+    if (models_[i].resident && models_[i].pins == 0) evictable.push_back(i);
   }
   std::sort(evictable.begin(), evictable.end(), [this](size_t a, size_t b) {
-    if (shards_[a].last_use != shards_[b].last_use) {
-      return shards_[a].last_use < shards_[b].last_use;
+    if (models_[a].last_use != models_[b].last_use) {
+      return models_[a].last_use < models_[b].last_use;
     }
     return a < b;
   });
-  size_t excess = resident - capacity_;
+  size_t excess = resident_ - capacity_;
   if (evictable.size() > excess) evictable.resize(excess);
   return evictable;
 }

@@ -194,7 +194,9 @@ Status DecisionTree::Load(BinaryReader* reader) {
   task_ = task == 0 ? Task::kClassification : Task::kRegression;
   SAGED_ASSIGN_OR_RETURN(n_features_, reader->ReadU64());
   SAGED_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
-  if (n > BinaryReader::kMaxLength) return Status::IoError("corrupt tree");
+  if (n == 0 || n > BinaryReader::kMaxLength) {
+    return Status::IoError("corrupt tree");
+  }
   // The count is untrusted until its bytes arrive: reserve at most a
   // bounded prefix of it (64Ki nodes; a default depth-10 tree has at most
   // 2047, so a real tree loads with one allocation) and grow past that.
@@ -210,9 +212,19 @@ Status DecisionTree::Load(BinaryReader* reader) {
     SAGED_ASSIGN_OR_RETURN(node.value, reader->ReadF64());
     SAGED_ASSIGN_OR_RETURN(node.gain, reader->ReadF64());
     SAGED_ASSIGN_OR_RETURN(node.n_samples, reader->ReadU64());
-    long long max_index = static_cast<long long>(n);
-    if (node.left >= max_index || node.right >= max_index) {
-      return Status::IoError("corrupt tree: child index out of range");
+    // Fit builds the tree in pre-order, so an internal node's children
+    // come after it: with every child in (i, n), ApplyOne's walk strictly
+    // advances and stops at a leaf inside the array.
+    if (node.feature >= 0) {
+      const auto index = static_cast<long long>(i);
+      const auto count = static_cast<long long>(n);
+      if (node.left <= index || node.left >= count || node.right <= index ||
+          node.right >= count) {
+        return Status::IoError("corrupt tree: child index out of range");
+      }
+      if (static_cast<uint64_t>(node.feature) >= n_features_) {
+        return Status::IoError("corrupt tree: split feature out of range");
+      }
     }
     nodes_.push_back(node);
   }

@@ -63,7 +63,7 @@ struct ServerOptions {
   size_t send_timeout_ms = 10'000;
   /// Warm start for lazily-backed knowledge bases (kb::ShardStore): Start()
   /// acquires a lease over every base model and holds it until the server
-  /// is destroyed, so no request ever pays a shard load and the cache bound
+  /// is destroyed, so no request ever pays a model load and the cache bound
   /// is suspended for the server's lifetime. A no-op for fully-resident
   /// knowledge bases.
   bool pin_models = false;

@@ -1,8 +1,14 @@
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "ml/decision_tree.h"
 #include "ml/matrix.h"
 #include "ml/metrics.h"
@@ -231,6 +237,76 @@ TEST(DecisionTreeTest, FeatureImportanceIdentifiesSignal) {
   ASSERT_TRUE(tree.Fit(x, yd).ok());
   auto imp = tree.FeatureImportances(2);
   EXPECT_GT(imp[0], imp[1]);
+}
+
+/// One serialized node, in DecisionTree::Save's field order.
+struct RawNode {
+  int32_t feature;
+  int32_t left;
+  int32_t right;
+};
+
+std::string SerializeTree(uint64_t n_features,
+                          const std::vector<RawNode>& nodes) {
+  std::stringstream buf;
+  BinaryWriter writer(&buf);
+  writer.WriteU8(0);  // classification
+  writer.WriteU64(n_features);
+  writer.WriteU64(nodes.size());
+  for (const RawNode& node : nodes) {
+    writer.WriteI32(node.feature);
+    writer.WriteF64(0.5);  // threshold
+    writer.WriteI32(node.left);
+    writer.WriteI32(node.right);
+    writer.WriteF64(0.25);  // value
+    writer.WriteF64(0.0);   // gain
+    writer.WriteU64(1);     // n_samples
+  }
+  return buf.str();
+}
+
+// Trees a hostile shard could carry: Load must reject each with IoError.
+// A self-loop would make every prediction spin forever, a negative child
+// or a feature past the row would read out of bounds. If a regression lets
+// the self-loop load, the prediction below hangs and the test's ctest
+// TIMEOUT turns the hang into a failure.
+TEST(DecisionTreeTest, HostileNodesRejected) {
+  constexpr int32_t kLeaf = -1;
+  struct Case {
+    const char* name;
+    uint64_t n_features;
+    std::vector<RawNode> nodes;
+  };
+  const Case cases[] = {
+      {"self-loop", 1, {{0, 0, 0}}},
+      {"backward child", 1, {{kLeaf, kLeaf, kLeaf}, {0, 0, 0}}},
+      {"negative child", 1, {{0, -3, 1}, {kLeaf, kLeaf, kLeaf}}},
+      {"child past the end", 1, {{0, 1, 2}, {kLeaf, kLeaf, kLeaf}}},
+      {"feature past n_features",
+       2,
+       {{5, 1, 2}, {kLeaf, kLeaf, kLeaf}, {kLeaf, kLeaf, kLeaf}}},
+      {"no nodes", 1, {}},
+  };
+  for (const Case& c : cases) {
+    std::stringstream in(SerializeTree(c.n_features, c.nodes));
+    BinaryReader reader(&in);
+    DecisionTree tree(DecisionTree::Task::kClassification, {});
+    Status status = tree.Load(&reader);
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << c.name;
+    if (status.ok() && std::string(c.name) == "self-loop") {
+      const std::vector<double> row = {0.0};
+      tree.PredictOne(row);
+    }
+  }
+
+  // The same shapes with every index in range load and predict.
+  std::stringstream in(SerializeTree(
+      2, {{1, 1, 2}, {kLeaf, kLeaf, kLeaf}, {kLeaf, kLeaf, kLeaf}}));
+  BinaryReader reader(&in);
+  DecisionTree tree(DecisionTree::Task::kClassification, {});
+  ASSERT_TRUE(tree.Load(&reader).ok());
+  const std::vector<double> row = {0.0, 0.0};
+  EXPECT_DOUBLE_EQ(tree.PredictOne(row), 0.25);
 }
 
 /// Property sweep: the tree never predicts probabilities outside [0, 1]
