@@ -85,7 +85,8 @@ Status GradientBoostingClassifier::Load(BinaryReader* reader) {
   SAGED_ASSIGN_OR_RETURN(options_.learning_rate, reader->ReadF64());
   SAGED_ASSIGN_OR_RETURN(base_score_, reader->ReadF64());
   SAGED_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
-  if (n > 1 << 20) return Status::IoError("corrupt booster");
+  // A fitted booster has at least one tree; prediction checks for one.
+  if (n == 0 || n > 1 << 20) return Status::IoError("corrupt booster");
   trees_.clear();
   for (uint64_t t = 0; t < n; ++t) {
     auto tree = std::make_unique<DecisionTree>(DecisionTree::Task::kRegression,

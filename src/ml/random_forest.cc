@@ -76,7 +76,8 @@ void RandomForestClassifier::Save(BinaryWriter* writer) const {
 Status RandomForestClassifier::Load(BinaryReader* reader) {
   SAGED_ASSIGN_OR_RETURN(n_features_, reader->ReadU64());
   SAGED_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
-  if (n > 1 << 20) return Status::IoError("corrupt forest");
+  // A fitted forest has at least one tree; prediction checks for one.
+  if (n == 0 || n > 1 << 20) return Status::IoError("corrupt forest");
   trees_.clear();
   for (uint64_t t = 0; t < n; ++t) {
     auto tree = std::make_unique<DecisionTree>(

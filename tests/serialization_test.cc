@@ -153,6 +153,30 @@ TEST(ModelSerializationTest, HugeTreeNodeCountRejected) {
   EXPECT_EQ(status.code(), StatusCode::kIoError);
 }
 
+// A forest or booster record with no trees: prediction would abort on it,
+// so Load must refuse it.
+TEST(ModelSerializationTest, ZeroTreeEnsemblesRejected) {
+  {
+    std::stringstream buf;
+    BinaryWriter w(&buf);
+    w.WriteU64(2);  // n_features
+    w.WriteU64(0);  // tree count
+    BinaryReader r(&buf);
+    ml::RandomForestClassifier forest;
+    EXPECT_EQ(forest.Load(&r).code(), StatusCode::kIoError);
+  }
+  {
+    std::stringstream buf;
+    BinaryWriter w(&buf);
+    w.WriteF64(0.1);  // learning rate
+    w.WriteF64(0.0);  // base score
+    w.WriteU64(0);    // tree count
+    BinaryReader r(&buf);
+    ml::GradientBoostingClassifier booster;
+    EXPECT_EQ(booster.Load(&r).code(), StatusCode::kIoError);
+  }
+}
+
 // --- Knowledge-base store round trip ---------------------------------------------
 
 class KbSerializationTest : public ::testing::Test {
