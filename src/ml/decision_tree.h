@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -22,6 +23,36 @@ struct TreeOptions {
   int max_features = -1;
 };
 
+/// Per-feature ranks of a training matrix, built once per ensemble fit and
+/// shared by all its trees: every cell becomes the uint32 rank of its value
+/// among the feature's sorted distinct values. Rank order is value order
+/// (-0.0 and +0.0 share a rank), so a split search over ranks sees the
+/// same candidates as one over values.
+class FeatureRanks {
+ public:
+  /// InvalidArgument when `x` is empty, holds NaN or +-Inf (ranks need a
+  /// total order), or has more rows than a uint32 rank can index.
+  static Result<FeatureRanks> Build(const Matrix& x);
+
+  size_t rows() const { return rows_; }
+  size_t cols() const { return cols_; }
+  /// Rank of every row's value in feature `f`.
+  std::span<const uint32_t> ranks(size_t f) const {
+    return {ranks_.data() + f * rows_, rows_};
+  }
+  /// Feature `f`'s sorted distinct values; a rank indexes into them.
+  std::span<const double> values(size_t f) const {
+    return {values_.data() + offsets_[f], offsets_[f + 1] - offsets_[f]};
+  }
+
+ private:
+  size_t rows_ = 0;
+  size_t cols_ = 0;
+  std::vector<uint32_t> ranks_;   // column-major, cols x rows
+  std::vector<double> values_;    // every feature's distinct values
+  std::vector<size_t> offsets_;   // feature f's values start at offsets_[f]
+};
+
 /// CART decision tree supporting gini (classification) and variance
 /// (regression) splits. Leaf values are the positive-class fraction /
 /// target mean; gradient boosting rewrites them via SetLeafValue.
@@ -33,8 +64,12 @@ class DecisionTree {
       : task_(task), options_(options), rng_(seed) {}
 
   /// Fits on rows `sample` of `x` (all rows when `sample` is null).
-  /// y holds 0/1 for classification, targets for regression.
+  /// y holds 0/1 for classification, finite targets for regression.
+  /// InvalidArgument when `x` holds NaN or +-Inf.
   Status Fit(const Matrix& x, const std::vector<double>& y,
+             const std::vector<size_t>* sample = nullptr);
+  /// Same, over ranks an ensemble built once for all its trees.
+  Status Fit(const FeatureRanks& ranks, const std::vector<double>& y,
              const std::vector<size_t>* sample = nullptr);
 
   /// Leaf value for one row (P(dirty) or predicted target).
@@ -68,8 +103,11 @@ class DecisionTree {
     size_t n_samples = 0;
   };
 
-  int BuildNode(const Matrix& x, const std::vector<double>& y,
-                std::vector<size_t>& idx, size_t begin, size_t end, int depth);
+  struct SplitScratch;
+
+  int BuildNode(const FeatureRanks& ranks, const std::vector<double>& y,
+                std::vector<size_t>& idx, size_t begin, size_t end, int depth,
+                SplitScratch& scratch);
 
   Task task_;
   TreeOptions options_;

@@ -21,6 +21,7 @@ Status GradientBoostingClassifier::Fit(const Matrix& x,
   if (x.rows() == 0) return Status::InvalidArgument("empty training matrix");
   if (y.size() != x.rows()) return Status::InvalidArgument("label size mismatch");
   trees_.clear();
+  SAGED_ASSIGN_OR_RETURN(const FeatureRanks ranks, FeatureRanks::Build(x));
 
   const size_t n = x.rows();
   double pos = 0.0;
@@ -50,7 +51,7 @@ Status GradientBoostingClassifier::Fit(const Matrix& x,
 
     auto tree = std::make_unique<DecisionTree>(DecisionTree::Task::kRegression,
                                                options_.tree, rng.Next());
-    SAGED_RETURN_NOT_OK(tree->Fit(x, residual, &sample));
+    SAGED_RETURN_NOT_OK(tree->Fit(ranks, residual, &sample));
 
     // Newton step per leaf: sum(residual) / sum(p (1 - p)).
     std::unordered_map<int, std::pair<double, double>> leaf_stats;

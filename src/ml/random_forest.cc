@@ -42,6 +42,7 @@ Status RandomForestClassifier::Fit(const Matrix& x, const std::vector<int>& y) {
   trees_.clear();
   n_features_ = x.cols();
   std::vector<double> yd(y.begin(), y.end());
+  SAGED_ASSIGN_OR_RETURN(const FeatureRanks ranks, FeatureRanks::Build(x));
   Rng rng(seed_);
   TreeOptions tree_opts = EffectiveTreeOptions(options_, x.cols());
   size_t per_tree = PerTreeSampleSize(options_, x.rows());
@@ -49,7 +50,7 @@ Status RandomForestClassifier::Fit(const Matrix& x, const std::vector<int>& y) {
     auto tree = std::make_unique<DecisionTree>(
         DecisionTree::Task::kClassification, tree_opts, rng.Next());
     auto sample = Bootstrap(x.rows(), per_tree, rng);
-    SAGED_RETURN_NOT_OK(tree->Fit(x, yd, &sample));
+    SAGED_RETURN_NOT_OK(tree->Fit(ranks, yd, &sample));
     trees_.push_back(std::move(tree));
   }
   return Status::OK();
@@ -106,6 +107,7 @@ Status RandomForestRegressor::Fit(const Matrix& x, const std::vector<double>& y)
   if (x.rows() == 0) return Status::InvalidArgument("empty training matrix");
   if (y.size() != x.rows()) return Status::InvalidArgument("label size mismatch");
   trees_.clear();
+  SAGED_ASSIGN_OR_RETURN(const FeatureRanks ranks, FeatureRanks::Build(x));
   Rng rng(seed_);
   TreeOptions tree_opts = EffectiveTreeOptions(options_, x.cols());
   size_t per_tree = PerTreeSampleSize(options_, x.rows());
@@ -113,7 +115,7 @@ Status RandomForestRegressor::Fit(const Matrix& x, const std::vector<double>& y)
     auto tree = std::make_unique<DecisionTree>(DecisionTree::Task::kRegression,
                                                tree_opts, rng.Next());
     auto sample = Bootstrap(x.rows(), per_tree, rng);
-    SAGED_RETURN_NOT_OK(tree->Fit(x, y, &sample));
+    SAGED_RETURN_NOT_OK(tree->Fit(ranks, y, &sample));
     trees_.push_back(std::move(tree));
   }
   return Status::OK();

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -10,9 +11,11 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "ml/decision_tree.h"
+#include "ml/gradient_boosting.h"
 #include "ml/matrix.h"
 #include "ml/metrics.h"
 #include "ml/preprocess.h"
+#include "ml/random_forest.h"
 
 namespace saged::ml {
 namespace {
@@ -178,6 +181,60 @@ TEST(DecisionTreeTest, RejectsSizeMismatch) {
   Matrix x = Matrix::FromRows({{1.0}, {2.0}});
   DecisionTreeClassifier tree;
   EXPECT_FALSE(tree.Fit(x, {1}).ok());
+}
+
+// Ranks need a total order, so NaN and +-Inf features are an error in the
+// tree and, through it, in every ensemble built on trees.
+TEST(DecisionTreeTest, NonFiniteFeaturesRejected) {
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (double bad : kBad) {
+    Matrix x =
+        Matrix::FromRows({{0.0, 1.0}, {1.0, 2.0}, {2.0, 3.0}, {3.0, 4.0}});
+    x.At(2, 1) = bad;
+    const std::vector<int> y = {0, 0, 1, 1};
+    const std::vector<double> yd(y.begin(), y.end());
+    DecisionTree classifier(DecisionTree::Task::kClassification, {});
+    EXPECT_EQ(classifier.Fit(x, yd).code(), StatusCode::kInvalidArgument)
+        << bad;
+    DecisionTree regressor(DecisionTree::Task::kRegression, {});
+    EXPECT_EQ(regressor.Fit(x, yd).code(), StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(DecisionTreeClassifier().Fit(x, y).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(DecisionTreeRegressor().Fit(x, yd).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(RandomForestClassifier().Fit(x, y).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(RandomForestRegressor().Fit(x, yd).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(GradientBoostingClassifier().Fit(x, y).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
+// The binned split search counts positives, so classification labels must
+// be 0/1; regression targets must be finite.
+TEST(DecisionTreeTest, InvalidTargetsRejected) {
+  const Matrix x = Matrix::FromRows({{0.0}, {1.0}, {2.0}, {3.0}});
+  DecisionTree classifier(DecisionTree::Task::kClassification, {});
+  EXPECT_EQ(classifier.Fit(x, {0, 1, 2, 1}).code(),
+            StatusCode::kInvalidArgument);
+  DecisionTree regressor(DecisionTree::Task::kRegression, {});
+  EXPECT_EQ(regressor
+                .Fit(x, {0.0, 1.0, std::numeric_limits<double>::infinity(),
+                         1.0})
+                .code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<size_t> out_of_range = {0, 4};
+  EXPECT_EQ(regressor.Fit(x, {0.0, 1.0, 2.0, 3.0}, &out_of_range).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(DecisionTreeTest, ConstantLabelsGiveConstantProba) {
