@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "common/strings.h"
@@ -35,6 +36,17 @@ ml::Matrix EncodeTable(const Table& t, std::vector<bool>* numeric_out) {
     (*numeric_out)[j] = numeric;
     if (numeric) {
       double mean = sum / static_cast<double>(numeric_n);
+      if (!std::isfinite(mean)) {
+        // The sum overflowed (cells near DBL_MAX). Sum each cell's share
+        // instead, and clamp its rounding, so the trees below, which reject
+        // non-finite features, can still train on this column.
+        mean = 0.0;
+        for (const auto& v : nums) {
+          if (v) mean += *v / static_cast<double>(numeric_n);
+        }
+        mean = std::clamp(mean, std::numeric_limits<double>::lowest(),
+                          std::numeric_limits<double>::max());
+      }
       for (size_t r = 0; r < rows; ++r) {
         x.At(r, j) = nums[r] ? *nums[r] : mean;
       }

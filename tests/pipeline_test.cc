@@ -67,6 +67,35 @@ TEST(RepairTest, EmptyMaskIsIdentity) {
   }
 }
 
+// Two cells near DBL_MAX overflow their column's sum. Its missing cell is
+// filled with the column mean, which must stay finite: the regression trees
+// that repair the other numeric columns reject non-finite features, and
+// would otherwise hand column b to the mode/edit-distance repair ("0").
+TEST(RepairTest, OverflowingColumnMeanKeepsNumericRepair) {
+  std::vector<Cell> big;
+  std::vector<Cell> c;
+  std::vector<Cell> b;
+  for (int r = 0; r < 20; ++r) {
+    const int cv = r >= 10 && r < 15 ? 0 : r;
+    big.push_back(r >= 18 ? "1.7976931348623157e308"
+                          : r == 17 ? "" : std::to_string(r));
+    c.push_back(std::to_string(cv));
+    b.push_back(std::to_string(2 * cv));
+  }
+  b[5] = "999";
+  Table t("overflow");
+  ASSERT_TRUE(t.AddColumn(Column("big", big)).ok());
+  ASSERT_TRUE(t.AddColumn(Column("c", c)).ok());
+  ASSERT_TRUE(t.AddColumn(Column("b", b)).ok());
+  ErrorMask mask(t.NumRows(), t.NumCols());
+  mask.Set(5, 2);
+  auto repaired = RepairTable(t, mask);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  auto fixed = CellAsNumber(repaired->cell(5, 2));
+  ASSERT_TRUE(fixed.has_value()) << repaired->cell(5, 2);
+  EXPECT_NEAR(*fixed, 10.0, 4.0) << repaired->cell(5, 2);
+}
+
 TEST(RepairTest, RejectsShapeMismatch) {
   auto ds = Gen("nasa", 30);
   EXPECT_FALSE(RepairTable(ds.dirty, ErrorMask(2, 2)).ok());
