@@ -149,7 +149,7 @@ inline const datagen::Dataset& GetDataset(const std::string& name,
 /// paper's chosen defaults: clustering matcher, random sampling, no
 /// augmentation). Any knob registered in core/config_flags.h — the same
 /// registry the CLI parses — can be overridden for a whole bench run via
-/// SAGED_CONFIG_FLAGS="name=value,..." (e.g. "detect-threads=1,cache=off").
+/// SAGED_CONFIG_FLAGS="name=value,..." (e.g. "detect-threads=1,seed=7").
 inline core::SagedConfig BenchConfig(size_t budget = 20) {
   core::SagedConfig config;
   config.labeling_budget = budget;

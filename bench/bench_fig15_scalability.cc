@@ -158,9 +158,8 @@ BENCHMARK(BM_Fig15Streamed)
 
 /// Offline-phase companion sweep: knowledge-extraction wall time against
 /// `extract_threads` on the default historical inventory. Each cell builds a
-/// fresh Saged (empty knowledge base, so the extraction cache cannot short
-/// the measurement) and ingests the same history; the per-stage split
-/// (content_hash / train_w2v / base_models) lands in BENCH_telemetry.json.
+/// fresh Saged (empty knowledge base) and ingests the same history; the
+/// per-stage split (train_w2v / base_models) lands in BENCH_telemetry.json.
 /// The knowledge base is bit-identical at every thread count, so the sweep
 /// measures scheduling alone.
 void BM_Fig15OfflineExtraction(benchmark::State& state) {

@@ -72,15 +72,17 @@ void Executor::Enqueue(std::function<void()> task) {
                      : next_queue_.fetch_add(1, std::memory_order_relaxed) %
                            workers_.size();
   {
-    std::lock_guard<std::mutex> lock(workers_[index]->mu);
-    workers_[index]->queue.push_back(std::move(task));
-  }
-  {
-    // Lock/unlock pairs the pending_ increment with the workers' predicate
-    // check; without it a worker could miss the notify between checking and
-    // sleeping.
+    // Count the task before it becomes claimable: a worker that pops it
+    // decrements pending_ at once, so counting after the push could take
+    // the counter below zero. Lock/unlock pairs the increment with the
+    // workers' predicate check; without it a worker could miss the notify
+    // between checking and sleeping.
     std::lock_guard<std::mutex> lock(wake_mu_);
     pending_.fetch_add(1, std::memory_order_release);
+  }
+  {
+    std::lock_guard<std::mutex> lock(workers_[index]->mu);
+    workers_[index]->queue.push_back(std::move(task));
   }
   wake_cv_.notify_one();
 }

@@ -109,6 +109,4 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   return idx;
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 }  // namespace saged

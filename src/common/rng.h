@@ -54,9 +54,6 @@ class Rng {
   /// Samples `k` distinct indices from [0, n). If k >= n, returns all n.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
-  /// Derives an independent child generator (for per-model seeding).
-  Rng Fork();
-
  private:
   uint64_t s_[4];
   bool has_cached_normal_ = false;

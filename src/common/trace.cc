@@ -240,10 +240,6 @@ void ResetSpans() {
   }
 }
 
-bool TraceEventsEnabled() {
-  return g_trace_events_enabled.load(std::memory_order_relaxed);
-}
-
 void SetTraceEventsEnabled(bool enabled) {
   bool was = g_trace_events_enabled.exchange(enabled);
   if (enabled && !was) {

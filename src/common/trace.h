@@ -77,7 +77,6 @@ struct TraceEvent {
 /// Trace-event capture switch. Independent of Enabled(): events are only
 /// recorded when BOTH are on (ScopedSpan does nothing at all when Enabled()
 /// is false). SetTraceEventsEnabled(true) also pins the trace epoch.
-bool TraceEventsEnabled();
 void SetTraceEventsEnabled(bool enabled);
 
 /// Events from live and exited threads, sorted by (ts_ns, dur_ns

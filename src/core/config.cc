@@ -138,7 +138,6 @@ uint64_t ConfigContentHash(const SagedConfig& config) {
   u64(config.featurize_simd);
   u64(config.detect_threads);
   u64(config.extract_threads);
-  u64(config.extraction_cache);
   u64(config.seed);
   return h.Digest();
 }

@@ -133,12 +133,6 @@ struct SagedConfig {
   /// bit-identical regardless (per-column seed derivation).
   size_t extract_threads = 0;
 
-  /// When set, AddHistoricalDataset skips featurization and training for a
-  /// dataset whose content (data + labels + extraction-relevant knobs)
-  /// hash-matches one this knowledge base already ingested. Hits and misses
-  /// are exported as `extract.cache_hits` / `extract.cache_misses`.
-  bool extraction_cache = true;
-
   uint64_t seed = 42;
 
   /// Rejects out-of-range knobs with a descriptive InvalidArgument status.
@@ -160,9 +154,8 @@ features::FeaturizeOptions MakeFeaturizeOptions(const SagedConfig& config);
 
 /// Stable FNV-1a digest over every knob of `config`, for run-ledger
 /// provenance: two runs with equal hashes executed under identical
-/// configuration. Unlike KnowledgeExtractor::ContentHash this includes the
-/// knobs that do not change results (thread counts), because the ledger
-/// also explains *performance* differences.
+/// configuration. It includes the knobs that do not change results (thread
+/// counts), because the ledger also explains *performance* differences.
 uint64_t ConfigContentHash(const SagedConfig& config);
 
 }  // namespace saged::core

@@ -60,7 +60,6 @@ const std::vector<ConfigFlag>& SagedConfigFlags() {
        "offline featurize+train parallelism (0 = hardware, 1 = sequential)"},
       {"detect-threads",
        "online per-column parallelism (0 = hardware, 1 = sequential)"},
-      {"cache", "extraction cache on/off (skip re-adding unchanged history)"},
       {"similarity", "matcher: cosine | clustering | indexed"},
       {"cosine-threshold", "cosine matcher similarity cutoff in [0, 1]"},
       {"signature-clusters", "clustering matcher K-Means cluster count"},
@@ -106,8 +105,6 @@ Status ApplySagedFlag(const std::string& name, const std::string& value,
     SAGED_ASSIGN_OR_RETURN(config->extract_threads, ParseCount(name, value));
   } else if (name == "detect-threads") {
     SAGED_ASSIGN_OR_RETURN(config->detect_threads, ParseCount(name, value));
-  } else if (name == "cache") {
-    SAGED_ASSIGN_OR_RETURN(config->extraction_cache, ParseBool(name, value));
   } else if (name == "similarity") {
     bool found = false;
     for (SimilarityMethod method :

@@ -1,18 +1,8 @@
 #include "core/knowledge_base.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 namespace saged::core {
-
-bool KnowledgeBase::HasExtraction(uint64_t content_hash) const {
-  return std::find(extraction_hashes_.begin(), extraction_hashes_.end(),
-                   content_hash) != extraction_hashes_.end();
-}
-
-void KnowledgeBase::RecordExtraction(uint64_t content_hash) {
-  if (!HasExtraction(content_hash)) extraction_hashes_.push_back(content_hash);
-}
 
 size_t KnowledgeBase::NumDatasets() const {
   std::unordered_set<std::string> names;

@@ -64,17 +64,6 @@ class KnowledgeBase {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// Extraction cache: content hashes of every (data, labels, config)
-  /// combination this knowledge base has ingested. AddDataset consults it
-  /// to skip featurization+training when re-adding unchanged history; the
-  /// hashes persist through serialization so a reloaded knowledge base
-  /// still recognizes its sources.
-  bool HasExtraction(uint64_t content_hash) const;
-  void RecordExtraction(uint64_t content_hash);
-  const std::vector<uint64_t>& extraction_hashes() const {
-    return extraction_hashes_;
-  }
-
   /// Number of distinct historical datasets contributing entries.
   size_t NumDatasets() const;
 
@@ -114,8 +103,6 @@ class KnowledgeBase {
  private:
   features::CharSpace char_space_;
   std::vector<BaseModelEntry> entries_;
-  /// Ingestion order (deterministic, so serialized bytes are stable).
-  std::vector<uint64_t> extraction_hashes_;
   ModelProvider model_provider_;
   std::shared_ptr<const SignatureIndex> signature_index_;
 };

@@ -20,29 +20,6 @@ namespace saged::core {
 
 namespace {
 
-// FNV-1a, the repo's only content-hash use; collisions would merely cause a
-// spurious cache hit between two datasets a user deliberately ingested with
-// identical config, so 64 bits is plenty.
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void HashBytes(uint64_t* h, const void* data, size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    *h ^= bytes[i];
-    *h *= kFnvPrime;
-  }
-}
-
-void HashU64(uint64_t* h, uint64_t value) { HashBytes(h, &value, 8); }
-
-void HashF64(uint64_t* h, double value) { HashBytes(h, &value, 8); }
-
-void HashString(uint64_t* h, const std::string& s) {
-  HashU64(h, s.size());
-  HashBytes(h, s.data(), s.size());
-}
-
 /// Derives the column-local RNG seed. Mixing the column index through an
 /// odd multiplier before folding it into the user seed keeps the streams
 /// distinct per column while staying independent of execution order — the
@@ -53,41 +30,6 @@ uint64_t ColumnSeed(uint64_t seed, size_t column) {
 }
 
 }  // namespace
-
-uint64_t KnowledgeExtractor::ContentHash(const Table& data,
-                                         const ErrorMask& labels,
-                                         const SagedConfig& config) {
-  uint64_t h = kFnvOffset;
-  HashString(&h, data.name());
-  HashU64(&h, data.NumRows());
-  HashU64(&h, data.NumCols());
-  for (const auto& column : data.columns()) {
-    HashString(&h, column.name());
-    for (const auto& cell : column.values()) HashString(&h, cell);
-  }
-  for (size_t c = 0; c < labels.cols(); ++c) {
-    for (size_t r = 0; r < labels.rows(); ++r) {
-      HashU64(&h, labels.IsDirty(r, c) ? 1 : 0);
-    }
-  }
-  // Every knob the extraction output depends on (thread counts excluded:
-  // they do not change the result).
-  HashU64(&h, static_cast<uint64_t>(config.base_model));
-  HashU64(&h, config.base_model_sample_cap);
-  HashU64(&h, config.char_slots);
-  HashU64(&h, config.use_metadata_features);
-  HashU64(&h, config.use_w2v_features);
-  HashU64(&h, config.use_tfidf_features);
-  HashU64(&h, config.w2v.dim);
-  HashU64(&h, config.w2v.window);
-  HashU64(&h, config.w2v.negative);
-  HashU64(&h, config.w2v.epochs);
-  HashF64(&h, config.w2v.learning_rate);
-  HashU64(&h, config.w2v.min_count);
-  HashU64(&h, config.w2v.max_documents);
-  HashU64(&h, config.seed);
-  return h;
-}
 
 Status KnowledgeExtractor::AddDataset(const Table& data,
                                       const ErrorMask& labels,
@@ -104,19 +46,6 @@ Status KnowledgeExtractor::AddDataset(const Table& data,
   SAGED_RETURN_NOT_OK(config_.Validate());
 
   SAGED_TRACE_SPAN("extract");
-
-  uint64_t content_hash = 0;
-  if (config_.extraction_cache) {
-    SAGED_TRACE_SPAN("extract/content_hash");
-    content_hash = ContentHash(data, labels, config_);
-    if (kb->HasExtraction(content_hash)) {
-      SAGED_COUNTER_INC("extract.cache_hits");
-      SAGED_LOG(Debug) << "extraction cache hit for " << data.name()
-                       << "; skipping featurization and training";
-      return Status::OK();
-    }
-    SAGED_COUNTER_INC("extract.cache_misses");
-  }
 
   SAGED_COUNTER_INC("extract.datasets");
 
@@ -243,7 +172,6 @@ Status KnowledgeExtractor::AddDataset(const Table& data,
   for (auto& slot : slots) {
     if (slot.has_value()) kb->AddEntry(std::move(slot).value());
   }
-  if (config_.extraction_cache) kb->RecordExtraction(content_hash);
   return Status::OK();
 }
 

@@ -32,23 +32,8 @@ class KnowledgeExtractor {
   /// vocabulary into the knowledge base's shared char space, trains a
   /// Word2Vec model on the dataset's tuples, then trains one base model per
   /// column.
-  ///
-  /// When `config.extraction_cache` is set and the knowledge base has
-  /// already ingested identical content under an identical extraction
-  /// configuration, the whole pass is skipped (counted as
-  /// `extract.cache_hits`). The recorded hashes persist in the store's
-  /// manifest (src/kb/kb_builder.h), so the cache is cross-run:
-  /// re-extracting an already-ingested corpus against a reloaded knowledge
-  /// base (kb::LoadFullKnowledgeBase) is a per-dataset no-op.
   Status AddDataset(const Table& data, const ErrorMask& labels,
                     KnowledgeBase* kb) const;
-
-  /// Stable 64-bit fingerprint of everything the extraction output depends
-  /// on: the dataset name and cells, the label mask, and the
-  /// extraction-relevant config knobs (base model, seed, caps, featurizer
-  /// settings). Key of the knowledge base's extraction cache.
-  static uint64_t ContentHash(const Table& data, const ErrorMask& labels,
-                              const SagedConfig& config);
 
  private:
   SagedConfig config_;

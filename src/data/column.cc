@@ -6,20 +6,6 @@
 
 namespace saged {
 
-const char* ColumnTypeName(ColumnType type) {
-  switch (type) {
-    case ColumnType::kNumeric:
-      return "numeric";
-    case ColumnType::kCategorical:
-      return "categorical";
-    case ColumnType::kText:
-      return "text";
-    case ColumnType::kDate:
-      return "date";
-  }
-  return "?";
-}
-
 ColumnType InferTypeFromCounts(size_t numeric, size_t date, size_t non_missing,
                                size_t total, size_t distinct) {
   if (non_missing == 0) return ColumnType::kText;

@@ -17,8 +17,6 @@ enum class ColumnType {
   kDate,
 };
 
-const char* ColumnTypeName(ColumnType type);
-
 /// Type inference from pre-accumulated value-kind counts. Column::InferType
 /// is this function applied to one pass over the values; streaming scans
 /// call it directly with counts gathered cell-by-cell so both paths share

@@ -58,20 +58,4 @@ std::optional<double> CellAsNumber(std::string_view raw) {
   return ParseDouble(t);
 }
 
-const char* ValueKindName(ValueKind kind) {
-  switch (kind) {
-    case ValueKind::kMissing:
-      return "missing";
-    case ValueKind::kInteger:
-      return "integer";
-    case ValueKind::kReal:
-      return "real";
-    case ValueKind::kDate:
-      return "date";
-    case ValueKind::kText:
-      return "text";
-  }
-  return "?";
-}
-
 }  // namespace saged

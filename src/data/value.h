@@ -30,8 +30,6 @@ std::optional<double> CellAsNumber(std::string_view raw);
 /// True for "YYYY-MM-DD", "DD/MM/YYYY", "MM-DD-YYYY" style date spellings.
 bool LooksLikeDate(std::string_view raw);
 
-const char* ValueKindName(ValueKind kind);
-
 }  // namespace saged
 
 #endif  // SAGED_DATA_VALUE_H_

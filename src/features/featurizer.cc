@@ -154,13 +154,6 @@ Result<ml::Matrix> ColumnFeaturizer::Featurize(const Column& column) const {
   return out;
 }
 
-Result<ml::Matrix> ColumnFeaturizer::FeaturizeFrozen(
-    const FrozenColumnStats& stats, std::span<const Cell> cells) const {
-  ml::Matrix out;
-  SAGED_RETURN_NOT_OK(FeaturizeFrozenInto(stats, cells, &out, nullptr));
-  return out;
-}
-
 Status ColumnFeaturizer::FeaturizeFrozenInto(const FrozenColumnStats& stats,
                                              std::span<const Cell> cells,
                                              ml::Matrix* out,

@@ -92,14 +92,11 @@ class ColumnFeaturizer {
   /// column, because both call the same per-cell kernel (or gather its
   /// output through a dictionary) and the frozen stats match a whole-column
   /// fit — this is the block independence the streaming detector relies on.
-  Result<ml::Matrix> FeaturizeFrozen(const FrozenColumnStats& stats,
-                                     std::span<const Cell> cells) const;
-
-  /// Arena form of FeaturizeFrozen: writes into `out` (resized in place,
-  /// capacity retained) and keeps dictionary/plan scratch in `arena`. The
-  /// detector calls this block after block, column after column, with one
-  /// (matrix, arena) pair per task. `arena` may be null (scratch is then
-  /// local).
+  ///
+  /// Writes into `out` (resized in place, capacity retained) and keeps
+  /// dictionary/plan scratch in `arena`. The detector calls this block
+  /// after block, column after column, with one (matrix, arena) pair per
+  /// task. `arena` may be null (scratch is then local).
   Status FeaturizeFrozenInto(const FrozenColumnStats& stats,
                              std::span<const Cell> cells, ml::Matrix* out,
                              FeatureArena* arena) const;
@@ -121,7 +118,7 @@ class ColumnFeaturizer {
   TfidfPlan BuildTfidfPlan(const text::CharTfidf& tfidf,
                            FeatureArena* arena) const;
 
-  /// The shared block kernel behind Featurize / FeaturizeFrozen*: picks the
+  /// The shared block kernel behind Featurize / FeaturizeFrozenInto: picks the
   /// scalar or dictionary path (kAuto decides from `distinct_ratio`, the
   /// column-level ratio, so every block of a column takes the same path).
   Status FeaturizeCells(const MetadataProfiler& profiler,

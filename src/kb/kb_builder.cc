@@ -87,8 +87,6 @@ Status WriteShardedStore(const core::KnowledgeBase& kb, const std::string& dir,
   writer.WriteU32(kManifestMagic);
   writer.WriteU32(kStoreVersion);
   kb.char_space().Save(&writer);
-  writer.WriteU64(kb.extraction_hashes().size());
-  for (uint64_t hash : kb.extraction_hashes()) writer.WriteU64(hash);
   writer.WriteU64(kb.size());
   const std::vector<uint32_t>& assignments = index.assignments();
   for (size_t e = 0; e < kb.size(); ++e) {

@@ -16,15 +16,15 @@ class Executor;
 
 namespace saged::kb {
 
-/// Knowledge-base store format (v3), the only format a knowledge base is
+/// Knowledge-base store format (v4), the only format a knowledge base is
 /// persisted in: the offline extraction phase writes it once (`saged
 /// extract`), the online phase opens it lazily later. A store is a
 /// directory:
 ///
-///   manifest.sagk   magic "SAGK", version, char space, extraction hashes,
-///                   per-entry metadata {dataset, column, signature,
-///                   shard id}, the signature index (centroids +
-///                   assignments), and the shard table {filename, n_models}.
+///   manifest.sagk   magic "SAGK", version, char space, per-entry
+///                   metadata {dataset, column, signature, shard id}, the
+///                   signature index (centroids + assignments), and the
+///                   shard table {filename, n_models}.
 ///   shard-NNNN.sags magic "SAGS", version, shard id, and that shard's
 ///                   models as {entry index, tag + payload} records
 ///                   (WriteBaseModel), in ascending entry order.
@@ -34,7 +34,7 @@ namespace saged::kb {
 /// shard's records in order and stops after the last model it needs.
 inline constexpr uint32_t kManifestMagic = 0x5341474B;  // "SAGK"
 inline constexpr uint32_t kShardMagic = 0x53414753;     // "SAGS"
-inline constexpr uint32_t kStoreVersion = 3;
+inline constexpr uint32_t kStoreVersion = 4;
 inline constexpr char kManifestFilename[] = "manifest.sagk";
 
 /// "shard-0007.sags" — manifest-relative shard filename.
@@ -45,7 +45,7 @@ struct BuildOptions {
   uint64_t seed = 42;    // K-Means seed; fixed seed -> reproducible layout
 };
 
-/// Writes `kb` (fully resident: every entry must hold its model) as a v3
+/// Writes `kb` (fully resident: every entry must hold its model) as a v4
 /// sharded store under `dir`, creating the directory if needed.
 /// Deterministic for a given (kb, options).
 [[nodiscard]] Status WriteShardedStore(const core::KnowledgeBase& kb,

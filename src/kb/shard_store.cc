@@ -46,21 +46,15 @@ Result<std::unique_ptr<ShardStore>> ShardStore::Open(
   }
   SAGED_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
   if (version != kStoreVersion) {
-    return Status::IoError("unsupported sharded-store version");
+    return Status::IoError(
+        "'" + manifest_path + "' is a version " + std::to_string(version) +
+        " store; this build reads version " + std::to_string(kStoreVersion) +
+        " (re-run `saged extract` to rewrite it)");
   }
 
   std::unique_ptr<ShardStore> store(new ShardStore());
   store->base_dir_ = dir;
   SAGED_RETURN_NOT_OK(store->char_space_.Load(&reader));
-
-  SAGED_ASSIGN_OR_RETURN(uint64_t n_hashes, reader.ReadU64());
-  if (n_hashes > BinaryReader::kMaxLength) {
-    return Status::IoError("corrupt extraction hash count");
-  }
-  for (uint64_t i = 0; i < n_hashes; ++i) {
-    SAGED_ASSIGN_OR_RETURN(uint64_t hash, reader.ReadU64());
-    store->extraction_hashes_.push_back(hash);
-  }
 
   SAGED_ASSIGN_OR_RETURN(uint64_t n_entries, reader.ReadU64());
   if (n_entries > BinaryReader::kMaxLength) {
@@ -146,7 +140,6 @@ Result<core::KnowledgeBase> ShardStore::MakeKnowledgeBase() {
     entry.signature = meta.signature;
     kb.AddEntry(std::move(entry));
   }
-  for (uint64_t hash : extraction_hashes_) kb.RecordExtraction(hash);
   kb.SetModelProvider(
       [this](core::KnowledgeBase* target, const std::vector<size_t>& indices) {
         return Acquire(target, indices);

@@ -33,7 +33,7 @@ struct StoreStats {
 };
 
 /// Lazily-loaded, capacity-bounded view of a knowledge-base store (format
-/// v3: one manifest plus one shard file per signature bucket, see
+/// v4: one manifest plus one shard file per signature bucket, see
 /// kb/kb_builder.h). Opening reads only the manifest — entry metadata,
 /// the signature index, and the shard table — so a thousand-dataset store
 /// is servable in milliseconds. Base models hydrate on first use, inline
@@ -133,7 +133,6 @@ class ShardStore {
 
   std::string base_dir_;
   features::CharSpace char_space_{64};
-  std::vector<uint64_t> extraction_hashes_;
   std::vector<EntryMeta> entries_;
   std::vector<ShardMeta> shards_;
   /// Shard id -> entry indices (ascending); immutable after Open.

@@ -22,10 +22,6 @@ class BinaryClassifier {
   /// P(label == 1) per row. Only valid after a successful Fit.
   virtual std::vector<double> PredictProba(const Matrix& x) const = 0;
 
-  /// Fresh untrained copy carrying the same hyperparameters (prototype
-  /// pattern: SAGED instantiates one learner per column from a template).
-  virtual std::unique_ptr<BinaryClassifier> Clone() const = 0;
-
   /// Hard labels at the given probability threshold.
   std::vector<int> Predict(const Matrix& x, double threshold = 0.5) const {
     auto proba = PredictProba(x);

@@ -124,9 +124,6 @@ class DecisionTreeClassifier : public BinaryClassifier {
 
   Status Fit(const Matrix& x, const std::vector<int>& y) override;
   std::vector<double> PredictProba(const Matrix& x) const override;
-  std::unique_ptr<BinaryClassifier> Clone() const override {
-    return std::make_unique<DecisionTreeClassifier>(options_, seed_);
-  }
 
  private:
   TreeOptions options_;

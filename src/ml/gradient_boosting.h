@@ -30,9 +30,6 @@ class GradientBoostingClassifier : public BinaryClassifier {
 
   Status Fit(const Matrix& x, const std::vector<int>& y) override;
   std::vector<double> PredictProba(const Matrix& x) const override;
-  std::unique_ptr<BinaryClassifier> Clone() const override {
-    return std::make_unique<GradientBoostingClassifier>(options_, seed_);
-  }
 
   size_t NumRounds() const { return trees_.size(); }
 

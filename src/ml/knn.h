@@ -1,7 +1,6 @@
 #ifndef SAGED_ML_KNN_H_
 #define SAGED_ML_KNN_H_
 
-#include <memory>
 #include <vector>
 
 #include "ml/classifier.h"
@@ -16,9 +15,6 @@ class KnnClassifier : public BinaryClassifier {
 
   Status Fit(const Matrix& x, const std::vector<int>& y) override;
   std::vector<double> PredictProba(const Matrix& x) const override;
-  std::unique_ptr<BinaryClassifier> Clone() const override {
-    return std::make_unique<KnnClassifier>(k_);
-  }
 
  private:
   size_t k_;

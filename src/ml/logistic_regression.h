@@ -1,7 +1,6 @@
 #ifndef SAGED_ML_LOGISTIC_REGRESSION_H_
 #define SAGED_ML_LOGISTIC_REGRESSION_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -27,9 +26,6 @@ class LogisticRegression : public BinaryClassifier {
 
   Status Fit(const Matrix& x, const std::vector<int>& y) override;
   std::vector<double> PredictProba(const Matrix& x) const override;
-  std::unique_ptr<BinaryClassifier> Clone() const override {
-    return std::make_unique<LogisticRegression>(options_);
-  }
 
   const std::vector<double>& weights() const { return weights_; }
   double bias() const { return bias_; }

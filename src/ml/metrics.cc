@@ -19,10 +19,6 @@ double BinaryConfusion::F1() const {
   double r = Recall();
   return (p + r) == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
 }
-double BinaryConfusion::Accuracy() const {
-  size_t total = tp + fp + fn + tn;
-  return total == 0 ? 0.0 : static_cast<double>(tp + tn) / total;
-}
 
 BinaryConfusion Confusion(const std::vector<int>& truth,
                           const std::vector<int>& predicted) {

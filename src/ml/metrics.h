@@ -16,7 +16,6 @@ struct BinaryConfusion {
   double Precision() const;
   double Recall() const;
   double F1() const;
-  double Accuracy() const;
 };
 
 /// Builds the confusion matrix for 0/1 labels.

@@ -82,9 +82,6 @@ class MlpClassifier : public BinaryClassifier {
 
   Status Fit(const Matrix& x, const std::vector<int>& y) override;
   std::vector<double> PredictProba(const Matrix& x) const override;
-  std::unique_ptr<BinaryClassifier> Clone() const override {
-    return std::make_unique<MlpClassifier>(options_, seed_);
-  }
 
  private:
   MlpOptions options_;

@@ -33,9 +33,6 @@ class RandomForestClassifier : public BinaryClassifier {
 
   Status Fit(const Matrix& x, const std::vector<int>& y) override;
   std::vector<double> PredictProba(const Matrix& x) const override;
-  std::unique_ptr<BinaryClassifier> Clone() const override {
-    return std::make_unique<RandomForestClassifier>(options_, seed_);
-  }
 
   /// Mean impurity-decrease importances (normalized to sum 1).
   std::vector<double> FeatureImportances() const;

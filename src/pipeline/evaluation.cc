@@ -52,19 +52,6 @@ Result<core::Saged> MakeSagedWithHistory(
   return saged;
 }
 
-Result<double> DownstreamScore(const Table& table, size_t label_col,
-                               TaskType task, uint64_t seed, bool tune) {
-  SAGED_TRACE_SPAN("pipeline/downstream");
-  SAGED_ASSIGN_OR_RETURN(auto data, PrepareForModel(table, label_col, task));
-  ml::MlpOptions options;
-  options.epochs = 80;
-  if (tune) {
-    TunerOptions tuner;
-    SAGED_ASSIGN_OR_RETURN(options, TuneMlp(data, tuner, seed));
-  }
-  return TrainAndScore(data, options, seed);
-}
-
 Result<double> DownstreamScoreVsClean(const Table& version,
                                       const Table& clean, size_t label_col,
                                       TaskType task, uint64_t seed,

@@ -1,6 +1,6 @@
 // Parallel knowledge extraction: the bit-identical-at-any-thread-count
-// guarantee, the content-hash extraction cache, and the config validation /
-// flag-registry surface that gates both phases.
+// guarantee, re-adding a dataset, and the config validation / flag-registry
+// surface that gates both phases.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "common/telemetry.h"
 #include "core/config_flags.h"
 #include "core/detector.h"
-#include "core/knowledge_extractor.h"
 #include "datagen/datasets.h"
 #include "kb/kb_builder.h"
 
@@ -96,81 +94,13 @@ TEST(ParallelExtraction, ThreadCountDoesNotChangeDetection) {
   EXPECT_EQ(ra->matched_models, rb->matched_models);
 }
 
-TEST(ParallelExtraction, ReAddingSameDatasetHitsCache) {
-  telemetry::TelemetryRegistry::Get().Reset();
-  telemetry::SetEnabled(true);
+TEST(ParallelExtraction, ReAddingSameDatasetAppendsModels) {
   Saged saged(FastConfig());
-  auto adult = Gen("adult", 200);
-  ASSERT_TRUE(saged.AddHistoricalDataset(adult.dirty, adult.mask).ok());
-  size_t models = saged.knowledge_base().size();
-  ASSERT_GT(models, 0u);
-  ASSERT_TRUE(saged.AddHistoricalDataset(adult.dirty, adult.mask).ok());
-  telemetry::SetEnabled(false);
-  // Second ingestion was a no-op served from the cache.
-  EXPECT_EQ(saged.knowledge_base().size(), models);
-  auto& registry = telemetry::TelemetryRegistry::Get();
-  EXPECT_EQ(registry.CounterValue("extract.cache_hits"), 1u);
-  EXPECT_EQ(registry.CounterValue("extract.cache_misses"), 1u);
-}
-
-TEST(ParallelExtraction, CacheDisabledRetrains) {
-  SagedConfig config = FastConfig();
-  config.extraction_cache = false;
-  Saged saged(config);
   auto adult = Gen("adult", 200);
   ASSERT_TRUE(saged.AddHistoricalDataset(adult.dirty, adult.mask).ok());
   size_t models = saged.knowledge_base().size();
   ASSERT_TRUE(saged.AddHistoricalDataset(adult.dirty, adult.mask).ok());
   EXPECT_EQ(saged.knowledge_base().size(), 2 * models);
-}
-
-TEST(ParallelExtraction, ChangedLabelsMissCache) {
-  Saged saged(FastConfig());
-  auto adult = Gen("adult", 200);
-  ASSERT_TRUE(saged.AddHistoricalDataset(adult.dirty, adult.mask).ok());
-  size_t models = saged.knowledge_base().size();
-  ErrorMask flipped = adult.mask;
-  flipped.Set(0, 0, !flipped.IsDirty(0, 0));
-  ASSERT_TRUE(saged.AddHistoricalDataset(adult.dirty, flipped).ok());
-  EXPECT_GT(saged.knowledge_base().size(), models);
-}
-
-TEST(ParallelExtraction, CacheSurvivesSerialization) {
-  SagedConfig config = FastConfig();
-  auto adult = Gen("adult", 200);
-  KnowledgeExtractor extractor(config);
-  KnowledgeBase kb(config.char_slots);
-  ASSERT_TRUE(extractor.AddDataset(adult.dirty, adult.mask, &kb).ok());
-  ASSERT_EQ(kb.extraction_hashes().size(), 1u);
-
-  const std::string dir =
-      ::testing::TempDir() + "/core_parallel_test_cache_store";
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(kb::WriteShardedStore(kb, dir).ok());
-  auto reloaded = kb::LoadFullKnowledgeBase(dir);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded->extraction_hashes(), kb.extraction_hashes());
-
-  // The reloaded knowledge base still recognizes its source dataset.
-  size_t models = reloaded->size();
-  ASSERT_TRUE(extractor.AddDataset(adult.dirty, adult.mask, &*reloaded).ok());
-  EXPECT_EQ(reloaded->size(), models);
-}
-
-TEST(ParallelExtraction, ContentHashIgnoresThreadCounts) {
-  auto adult = Gen("adult", 100);
-  SagedConfig a = FastConfig();
-  a.extract_threads = 1;
-  a.detect_threads = 1;
-  SagedConfig b = FastConfig();
-  b.extract_threads = 8;
-  b.detect_threads = 8;
-  EXPECT_EQ(KnowledgeExtractor::ContentHash(adult.dirty, adult.mask, a),
-            KnowledgeExtractor::ContentHash(adult.dirty, adult.mask, b));
-  SagedConfig c = FastConfig();
-  c.seed = 12345;
-  EXPECT_NE(KnowledgeExtractor::ContentHash(adult.dirty, adult.mask, a),
-            KnowledgeExtractor::ContentHash(adult.dirty, adult.mask, c));
 }
 
 TEST(ConfigValidation, AcceptsDefaults) {
@@ -221,8 +151,8 @@ TEST(ConfigFlags, RegistryAppliesKnownFlags) {
   EXPECT_EQ(config.labeling_budget, 33u);
   ASSERT_TRUE(ApplySagedFlag("extract-threads", "2", &config).ok());
   EXPECT_EQ(config.extract_threads, 2u);
-  ASSERT_TRUE(ApplySagedFlag("cache", "off", &config).ok());
-  EXPECT_FALSE(config.extraction_cache);
+  ASSERT_TRUE(ApplySagedFlag("featurize-simd", "off", &config).ok());
+  EXPECT_FALSE(config.featurize_simd);
 }
 
 TEST(ConfigFlags, UnknownFlagIsNotFound) {
@@ -242,10 +172,11 @@ TEST(ConfigFlags, UnparseableValueIsInvalidArgument) {
 TEST(ConfigFlags, ListAppliesEveryEntry) {
   SagedConfig config;
   ASSERT_TRUE(
-      ApplySagedFlagList("budget=10,seed=99,cache=false", &config).ok());
+      ApplySagedFlagList("budget=10,seed=99,featurize-simd=false", &config)
+          .ok());
   EXPECT_EQ(config.labeling_budget, 10u);
   EXPECT_EQ(config.seed, 99u);
-  EXPECT_FALSE(config.extraction_cache);
+  EXPECT_FALSE(config.featurize_simd);
   EXPECT_FALSE(ApplySagedFlagList("budget", &config).ok());
 }
 

@@ -173,7 +173,6 @@ TEST(ShardStoreTest, LoadFullEqualsTrainedKnowledgeBase) {
     EXPECT_EQ(full->entries()[i].signature, f.kb().entries()[i].signature);
     EXPECT_NE(full->entries()[i].model, nullptr);
   }
-  EXPECT_EQ(full->extraction_hashes(), f.kb().extraction_hashes());
   EXPECT_FALSE(full->has_model_provider());
 }
 
@@ -465,8 +464,8 @@ TEST(ShardStoreTest, DuplicateShardEntryRejected) {
 // Each manifest count at the length cap, followed by a few bytes: Open must
 // fail on the missing bytes without first allocating for the count.
 TEST(ShardStoreTest, HugeManifestCountsRejected) {
-  const char* kCounts[] = {"hashes", "entries", "shards"};
-  for (int which = 0; which < 3; ++which) {
+  const char* kCounts[] = {"entries", "shards"};
+  for (int which = 0; which < 2; ++which) {
     const std::string dir = testing::TempDir() + "/kb_store_test_huge_" +
                             kCounts[which];
     std::filesystem::create_directories(dir);
@@ -489,6 +488,46 @@ TEST(ShardStoreTest, HugeManifestCountsRejected) {
   }
 }
 
+// An empty store's manifest, written under `version`. At version 3 the char
+// space was followed by an extraction-hash list, written here empty.
+void WriteEmptyManifest(const std::string& dir, uint32_t version) {
+  std::filesystem::create_directories(dir);
+  std::ofstream out(dir + "/" + kManifestFilename, std::ios::binary);
+  BinaryWriter writer(&out);
+  writer.WriteU32(kManifestMagic);
+  writer.WriteU32(version);
+  features::CharSpace(64).Save(&writer);
+  if (version == 3) writer.WriteU64(0);  // extraction hashes
+  writer.WriteU64(0);                    // entries (so no signature index)
+  writer.WriteU64(0);                    // shard table
+}
+
+// A manifest of any other version, such as a v3 store written before the
+// extraction hashes left the layout, is an IoError that names both versions.
+TEST(ShardStoreTest, OtherStoreVersionRejected) {
+  const std::string current = testing::TempDir() + "/kb_store_test_current";
+  WriteEmptyManifest(current, kStoreVersion);
+  auto opened = ShardStore::Open(current, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ((*opened)->GetStats().n_entries, 0u);
+
+  for (uint32_t version : {kStoreVersion - 1, kStoreVersion + 1}) {
+    const std::string dir = testing::TempDir() + "/kb_store_test_version_" +
+                            std::to_string(version);
+    WriteEmptyManifest(dir, version);
+    auto store = ShardStore::Open(dir, {});
+    ASSERT_FALSE(store.ok()) << version;
+    EXPECT_EQ(store.status().code(), StatusCode::kIoError) << version;
+    const std::string message = store.status().ToString();
+    EXPECT_NE(message.find("version " + std::to_string(version)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("version " + std::to_string(kStoreVersion)),
+              std::string::npos)
+        << message;
+  }
+}
+
 // One entry's signature a column wider than the rest: the store must fail
 // to open with IoError instead of aborting when it packs the signatures.
 TEST(ShardStoreTest, MixedSignatureWidthsRejected) {
@@ -500,7 +539,6 @@ TEST(ShardStoreTest, MixedSignatureWidthsRejected) {
     writer.WriteU32(kManifestMagic);
     writer.WriteU32(kStoreVersion);
     features::CharSpace(64).Save(&writer);
-    writer.WriteU64(0);  // extraction hashes
     writer.WriteU64(2);  // entries
     for (size_t width :
          {features::kSignatureWidth, features::kSignatureWidth + 1}) {

@@ -73,19 +73,6 @@ TEST(RandomForestTest, SolvesXor) {
   EXPECT_GT(Accuracy(y, forest.Predict(x)), 0.9);
 }
 
-TEST(RandomForestTest, CloneIsUntrained) {
-  Rng rng(9);
-  Matrix x;
-  std::vector<int> y;
-  MakeBlobs(&x, &y, 50, rng);
-  RandomForestClassifier forest;
-  ASSERT_TRUE(forest.Fit(x, y).ok());
-  auto clone = forest.Clone();
-  // The clone trains independently and reproduces the parent (same seed).
-  ASSERT_TRUE(clone->Fit(x, y).ok());
-  EXPECT_EQ(clone->Predict(x), forest.Predict(x));
-}
-
 TEST(RandomForestTest, MaxSamplesCapsTraining) {
   Rng rng(11);
   Matrix x;

@@ -253,21 +253,24 @@ TEST_P(BlockFeaturizeSweep, ChunkingNeverChangesTheMatrix) {
   auto stats = builder.Finalize();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
 
-  // Split at random boundaries (including size-1 blocks) and concatenate.
+  // Split at random boundaries (including size-1 blocks) and concatenate,
+  // reusing one block matrix the way the detector does.
   std::span<const Cell> all(cells);
+  ml::Matrix block;
   size_t offset = 0;
   while (offset < cells.size()) {
     size_t take = std::min<size_t>(1 + rng.UniformInt(uint64_t{40}),
                                    cells.size() - offset);
-    auto block = featurizer.FeaturizeFrozen(*stats, all.subspan(offset, take));
-    ASSERT_TRUE(block.ok()) << block.status().ToString();
-    ASSERT_EQ(block->rows(), take);
-    ASSERT_EQ(block->cols(), whole->cols());
+    Status status = featurizer.FeaturizeFrozenInto(
+        *stats, all.subspan(offset, take), &block, nullptr);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ASSERT_EQ(block.rows(), take);
+    ASSERT_EQ(block.cols(), whole->cols());
     for (size_t i = 0; i < take; ++i) {
       for (size_t j = 0; j < whole->cols(); ++j) {
         // Exact equality: the per-cell kernel and the frozen stats must be
         // bit-identical to the whole-column path, not merely close.
-        ASSERT_EQ(block->At(i, j), whole->At(offset + i, j))
+        ASSERT_EQ(block.At(i, j), whole->At(offset + i, j))
             << "row " << offset + i << " col " << j;
       }
     }

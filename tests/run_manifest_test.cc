@@ -51,7 +51,10 @@ std::vector<std::string> ReadLines(const std::string& path) {
 class RunManifestTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    runs_dir_ = ::testing::TempDir() + "/saged_runs_test";
+    // One directory per test: ctest runs each TEST_F as its own process, so
+    // a shared directory would let one test delete another's ledger.
+    runs_dir_ = ::testing::TempDir() + "/saged_runs_test_" +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(runs_dir_);
   }
   void TearDown() override { std::filesystem::remove_all(runs_dir_); }

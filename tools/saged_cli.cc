@@ -10,15 +10,18 @@
 //   saged kb stats --kb STORE
 //   saged extract  --data a.csv --mask a_mask.csv
 //                  [--data b.csv --mask b_mask.csv ...] --out STORE
-//                  [--extract-threads N] [--cache on|off]
-//                  [--index-buckets N] [--seed S]
+//                  [--extract-threads N] [--index-buckets N] [--seed S]
 //   saged detect   --kb STORE --data dirty.csv --oracle-mask truth.csv
 //                  [--budget N] [--detect-threads N] [--out detections.csv]
 //                  [--stream] [--block-rows N] [--chunk-bytes N]
 //   saged pipeline [--history adult,movies] [--target beers] [--budget N]
 //                  [--rows N] [--seed S] [--extract-threads N]
 //                  [--detect-threads N]
+//   saged help | --help
+//   saged <command> --help
 //
+// `help` lists the commands; `<command> --help` prints that command's usage
+// and every registry flag it accepts, with the registry's help text.
 // `generate` writes <name>_dirty.csv, <name>_clean.csv and <name>_mask.csv
 // (a 0/1 table marking the injected errors). With `--corpus N` it instead
 // mass-produces N synthetic datasets ("corpus-000000"...), each a
@@ -65,7 +68,7 @@
 //
 // Those three commands also accept every registered SAGED config knob as a
 // flag — `--budget N`, `--seed S`, `--extract-threads N`,
-// `--detect-threads N`, `--cache on|off`, `--base-model random_forest`,
+// `--detect-threads N`, `--base-model random_forest`,
 // ... — via the shared registry in core/config_flags.h (one place to add a
 // knob for both the CLI and the benches). The assembled config is
 // validated before any work runs.
@@ -118,7 +121,31 @@ std::vector<std::string> SplitNames(const std::string& csv) {
   return out;
 }
 
-int CmdListDatasets() {
+constexpr char kGenerateUsage[] =
+    "saged generate <dataset> [--rows N] [--seed S] [--error-rate R] "
+    "[--out-dir DIR]\n"
+    "       saged generate --corpus N [--rows R] [--seed S] "
+    "[--error-rate E] [--out-dir DIR]";
+constexpr char kExtractUsage[] =
+    "saged extract --data a.csv --mask a_mask.csv "
+    "[--data ... --mask ...] --out STORE_DIR";
+constexpr char kDetectUsage[] =
+    "saged detect --kb STORE --data dirty.csv --oracle-mask truth.csv "
+    "[--out detections.csv]";
+constexpr char kPipelineUsage[] =
+    "saged pipeline [--history adult,movies] [--target beers] [--rows N] "
+    "[--seed S]";
+constexpr char kKbUsage[] =
+    "saged kb build-index --kb STORE --out DIR [--index-buckets N] "
+    "[--seed S]\n"
+    "       saged kb stats --kb STORE";
+
+int UsageError(const char* usage) {
+  std::fprintf(stderr, "usage: %s\n", usage);
+  return 1;
+}
+
+int CmdListDatasets(const Args&) {
   std::printf("%-14s %8s %5s %6s  error types\n", "name", "rows", "cols",
               "rate");
   for (const auto& name : datagen::AllDatasetNames()) {
@@ -168,9 +195,7 @@ int CmdGenerate(const Args& args) {
   size_t corpus = std::strtoull(args.Get("corpus", "0").c_str(), nullptr, 10);
   if (corpus > 0) return CmdGenerateCorpus(args, corpus);
   if (args.positional.empty()) {
-    std::fprintf(stderr, "usage: saged generate <dataset> [--rows N] ... | "
-                         "saged generate --corpus N [--rows R] [--seed S]\n");
-    return 1;
+    return UsageError(kGenerateUsage);
   }
   datagen::MakeOptions opts;
   opts.rows = std::strtoull(args.Get("rows", "0").c_str(), nullptr, 10);
@@ -198,10 +223,7 @@ int CmdExtract(const Args& args) {
   std::string out = args.Get("out");
   if (data_files.empty() || data_files.size() != mask_files.size() ||
       out.empty()) {
-    std::fprintf(stderr,
-                 "usage: saged extract --data a.csv --mask a_mask.csv "
-                 "[--data ... --mask ...] --out STORE_DIR\n");
-    return 1;
+    return UsageError(kExtractUsage);
   }
   Observability obs = ObsFromArgs(args);
   auto config = ConfigFromArgs(args);
@@ -248,11 +270,7 @@ int CmdDetect(const Args& args) {
   std::string data_path = args.Get("data");
   std::string oracle_path = args.Get("oracle-mask");
   if (kb_path.empty() || data_path.empty() || oracle_path.empty()) {
-    std::fprintf(stderr,
-                 "usage: saged detect --kb STORE --data dirty.csv "
-                 "--oracle-mask truth.csv [--budget N] [--out out.csv] "
-                 "[--stream] [--block-rows N]\n");
-    return 1;
+    return UsageError(kDetectUsage);
   }
   auto oracle_table = ReadCsv(oracle_path);
   if (!oracle_table.ok()) return Fail(oracle_table.status());
@@ -337,10 +355,7 @@ int CmdPipeline(const Args& args) {
   auto history = SplitNames(args.Get("history", "adult,movies"));
   std::string target = args.Get("target", "beers");
   if (history.empty()) {
-    std::fprintf(stderr, "usage: saged pipeline [--history a,b] "
-                         "[--target name] [--budget N] [--rows N] [--seed S] "
-                         "[--telemetry-out FILE]\n");
-    return 1;
+    return UsageError(kPipelineUsage);
   }
 
   datagen::MakeOptions gen;
@@ -388,10 +403,7 @@ int CmdKbBuildIndex(const Args& args) {
   std::string kb_path = args.Get("kb");
   std::string out_dir = args.Get("out");
   if (kb_path.empty() || out_dir.empty()) {
-    std::fprintf(stderr,
-                 "usage: saged kb build-index --kb STORE --out DIR "
-                 "[--index-buckets N] [--seed S]\n");
-    return 1;
+    return UsageError(kKbUsage);
   }
   auto config = ConfigFromArgs(args);
   if (!config.ok()) return Fail(config.status());
@@ -415,8 +427,7 @@ int CmdKbBuildIndex(const Args& args) {
 int CmdKbStats(const Args& args) {
   std::string kb_path = args.Get("kb");
   if (kb_path.empty()) {
-    std::fprintf(stderr, "usage: saged kb stats --kb STORE\n");
-    return 1;
+    return UsageError(kKbUsage);
   }
   auto store = kb::ShardStore::Open(kb_path, kb::ShardStore::OpenOptions{});
   if (!store.ok()) return Fail(store.status());
@@ -439,8 +450,7 @@ int CmdKbStats(const Args& args) {
 
 int CmdKb(const Args& args) {
   if (args.positional.empty()) {
-    std::fprintf(stderr, "usage: saged kb <build-index|stats> ...\n");
-    return 1;
+    return UsageError(kKbUsage);
   }
   const std::string& sub = args.positional[0];
   if (sub == "build-index") return CmdKbBuildIndex(args);
@@ -449,25 +459,100 @@ int CmdKb(const Args& args) {
   return 1;
 }
 
+/// One subcommand: what it does, its own flags, and which groups of the
+/// shared registry (core/config_flags.h) it reads.
+struct Command {
+  const char* name;
+  const char* summary;
+  const char* usage;
+  bool config_flags;       // SagedConfigFlags, via ConfigFromArgs
+  bool detection_flags;    // SagedDetectionFlags
+  bool observability;      // --telemetry-out / --trace-out / --runs-dir
+  int (*run)(const Args&);
+};
+
+constexpr Command kCommands[] = {
+    {"list-datasets", "print the built-in datasets and their shapes",
+     "saged list-datasets", false, false, false, CmdListDatasets},
+    {"generate", "write a generated dataset's dirty, clean and mask CSVs",
+     kGenerateUsage, false, false, false, CmdGenerate},
+    {"extract", "build a knowledge-base store from labeled history",
+     kExtractUsage, true, false, true, CmdExtract},
+    {"detect", "detect the dirty cells of a CSV against a store",
+     kDetectUsage, true, true, true, CmdDetect},
+    {"pipeline", "extract and detect on generated datasets, end to end",
+     kPipelineUsage, true, false, true, CmdPipeline},
+    {"kb", "print a store's shape or re-shard it", kKbUsage, false, false,
+     false, CmdKb},
+};
+
+void PrintCommands(std::FILE* out) {
+  std::fprintf(out, "usage: saged <command> [flags]\n\ncommands:\n");
+  for (const Command& command : kCommands) {
+    std::fprintf(out, "  %-14s %s\n", command.name, command.summary);
+  }
+  std::fprintf(out, "\n`saged <command> --help` prints a command's flags.\n");
+}
+
+/// Prints `flags` with their registry help, leaving out the one named
+/// `skip` (if any).
+void PrintFlags(const char* title, const std::vector<core::ConfigFlag>& flags,
+                const char* skip = nullptr) {
+  std::printf("\n%s:\n", title);
+  for (const core::ConfigFlag& flag : flags) {
+    if (skip != nullptr && std::strcmp(flag.name, skip) == 0) continue;
+    std::printf("  --%-22s %s\n", flag.name, flag.help);
+  }
+}
+
+void PrintCommandHelp(const Command& command) {
+  std::printf("%s\n\nusage: %s\n", command.summary, command.usage);
+  if (command.config_flags) {
+    PrintFlags("config flags", core::SagedConfigFlags());
+  }
+  if (command.detection_flags) {
+    PrintFlags("detection flags", core::SagedDetectionFlags());
+  }
+  if (command.observability) {
+    // --out-dir is the benches' artifact directory; the CLI's commands name
+    // their outputs with their own flags.
+    PrintFlags("output flags", core::SagedToolFlags(), "out-dir");
+  }
+}
+
+const Command* FindCommand(const std::string& name) {
+  for (const Command& command : kCommands) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: saged "
-                 "<list-datasets|generate|extract|detect|pipeline|kb> ...\n");
+    PrintCommands(stderr);
     return 1;
   }
   std::string cmd = argv[1];
+  if (cmd == "help" || cmd == "--help") {
+    PrintCommands(stdout);
+    return 0;
+  }
+  const Command* command = FindCommand(cmd);
+  if (command == nullptr) {
+    std::fprintf(stderr, "unknown command '%s'\n\n", cmd.c_str());
+    PrintCommands(stderr);
+    return 1;
+  }
+  for (int i = 2; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      PrintCommandHelp(*command);
+      return 0;
+    }
+  }
   cli::SetCommandLine(argc, argv);
   auto args = cli::ParseArgs(argc, argv, 2);
   if (!args.ok()) return Fail(args.status());
-  if (cmd == "list-datasets") return CmdListDatasets();
-  if (cmd == "generate") return CmdGenerate(*args);
-  if (cmd == "extract") return CmdExtract(*args);
-  if (cmd == "detect") return CmdDetect(*args);
-  if (cmd == "pipeline") return CmdPipeline(*args);
-  if (cmd == "kb") return CmdKb(*args);
-  std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-  return 1;
+  return command->run(*args);
 }
