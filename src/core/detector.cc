@@ -313,8 +313,10 @@ Result<DetectionResult> Saged::DetectBlocks(const SagedConfig& config,
 
   // 4. Block inference (lines 5-13): featurize each block under the frozen
   //    stats and run B_rel straight into the meta matrices at the block's
-  //    rows. Rows are independent in both stages, so the filled matrices do
-  //    not depend on the blocking.
+  //    rows. A dictionary column's view holds one feature row per distinct
+  //    value, so B_rel runs once per distinct value and the predictions are
+  //    scattered through the codes. Rows are independent in both stages,
+  //    so the filled matrices do not depend on the blocking.
   {
     SAGED_TRACE_SPAN("detect/block_infer");
     features::ColumnFeaturizer featurizer(&w2v, &kb_.char_space(),
@@ -325,7 +327,6 @@ Result<DetectionResult> Saged::DetectBlocks(const SagedConfig& config,
     const size_t tasks = std::min(
         cols, threads == 0 ? executor_->num_workers() + 1 : threads);
     std::vector<features::FeatureArena> arenas(tasks);
-    std::vector<ml::Matrix> feature_scratch(tasks);
     // A column pins its matched base models from its first block through
     // its last (a lazily-backed knowledge base decodes missing models on
     // acquire; an in-memory one hands back a null lease), so inference
@@ -349,17 +350,16 @@ Result<DetectionResult> Saged::DetectBlocks(const SagedConfig& config,
             if (block.first_row == 0) {
               SAGED_ASSIGN_OR_RETURN(leases[j], kb_.AcquireModels(models[j]));
             }
-            {
+            SAGED_ASSIGN_OR_RETURN(features::FeatureView view, [&] {
               SAGED_TRACE_SPAN("detect/featurize");
-              SAGED_RETURN_NOT_OK(featurizer.FeaturizeFrozenInto(
-                  stats[j], block.columns[j], &feature_scratch[t],
-                  &arenas[t]));
-            }
+              return featurizer.FeaturizeFrozenView(
+                  stats[j], block.columns[j], &arenas[t]);
+            }());
             SAGED_TRACE_SPAN("detect/meta_features");
             // Nested fan-out: when fewer columns than workers are in
             // flight, the matched base models' inference overlaps too.
-            return BuildMetaFeaturesInto(feature_scratch[t], kb_, models[j],
-                                         metadata_cols, &meta[j],
+            return BuildMetaFeaturesInto(*view.rows, view.codes, kb_,
+                                         models[j], metadata_cols, &meta[j],
                                          block.first_row, executor_, threads);
           }();
           if (last_block) leases[j].reset();

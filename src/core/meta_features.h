@@ -1,6 +1,8 @@
 #ifndef SAGED_CORE_META_FEATURES_H_
 #define SAGED_CORE_META_FEATURES_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/executor.h"
@@ -43,6 +45,21 @@ Result<ml::Matrix> BuildMetaFeatures(const ml::Matrix& features,
 /// independent, so filling `out` block by block produces a matrix
 /// bit-identical to one whole-column BuildMetaFeatures call.
 Status BuildMetaFeaturesInto(const ml::Matrix& features,
+                             const KnowledgeBase& kb,
+                             const std::vector<size_t>& model_indices,
+                             size_t metadata_cols, ml::Matrix* out,
+                             size_t row_offset, Executor* executor = nullptr,
+                             size_t max_parallelism = 0);
+
+/// Dictionary-space form (a features::FeatureView): cell i's feature row is
+/// `rows.Row(codes[i])`, or `rows.Row(i)` when `codes` is empty. Each
+/// matched model runs over `rows` once, and cell i's prediction and
+/// metadata are scattered from its row, so rows [row_offset, row_offset +
+/// cells) of `out` are byte-identical to the matrix overload on the
+/// gathered per-cell features: base-model inference is a pure function of
+/// one row.
+Status BuildMetaFeaturesInto(const ml::Matrix& rows,
+                             std::span<const uint32_t> codes,
                              const KnowledgeBase& kb,
                              const std::vector<size_t>& model_indices,
                              size_t metadata_cols, ml::Matrix* out,

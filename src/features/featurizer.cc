@@ -75,17 +75,14 @@ void ColumnFeaturizer::FeaturizeCell(const MetadataProfiler& profiler,
   }
 }
 
-Status ColumnFeaturizer::FeaturizeCells(const MetadataProfiler& profiler,
-                                        const text::CharTfidf& tfidf,
-                                        std::span<const Cell> cells,
-                                        double distinct_ratio, ml::Matrix* out,
-                                        FeatureArena* arena) const {
+FeatureView ColumnFeaturizer::FeaturizeCells(const MetadataProfiler& profiler,
+                                             const text::CharTfidf& tfidf,
+                                             std::span<const Cell> cells,
+                                             double distinct_ratio,
+                                             ml::Matrix* cell_rows,
+                                             FeatureArena* arena) const {
   const size_t width = FeatureWidth(w2v_->dim(), *space_);
-  out->Reset(cells.size(), width);
   SAGED_COUNTER_ADD("featurize.cells", cells.size());
-
-  FeatureArena local;
-  if (arena == nullptr) arena = &local;
   const TfidfPlan plan = BuildTfidfPlan(tfidf, arena);
 
   FeaturizeMode mode = options_.mode;
@@ -98,14 +95,15 @@ Status ColumnFeaturizer::FeaturizeCells(const MetadataProfiler& profiler,
   }
 
   if (mode == FeaturizeMode::kScalar) {
+    cell_rows->Reset(cells.size(), width);
     for (size_t i = 0; i < cells.size(); ++i) {
-      FeaturizeCell(profiler, plan, cells[i], out->Row(i));
+      FeaturizeCell(profiler, plan, cells[i], cell_rows->Row(i));
     }
-    return Status::OK();
+    return {cell_rows, {}};
   }
 
-  // Dictionary path: profile each distinct value exactly once, then gather
-  // rows through the code vector. Byte-identical to the scalar loop because
+  // Dictionary path: profile each distinct value exactly once. Gathering
+  // rows through the codes is byte-identical to the scalar loop because
   // FeaturizeCell is a pure function of (cell bytes, frozen column stats).
   ColumnDictionary& dict = arena->dict_;
   {
@@ -116,7 +114,7 @@ Status ColumnFeaturizer::FeaturizeCells(const MetadataProfiler& profiler,
   SAGED_COUNTER_ADD("featurize.dict_hits", cells.size() - dict.size());
   SAGED_HISTOGRAM_OBSERVE("featurize.distinct_ratio", dict.distinct_ratio());
 
-  ml::Matrix& dict_rows = arena->dict_rows_;
+  ml::Matrix& dict_rows = arena->rows_;
   {
     SAGED_TRACE_SPAN("featurize/dict_profile");
     dict_rows.Reset(dict.size(), width);
@@ -125,15 +123,26 @@ Status ColumnFeaturizer::FeaturizeCells(const MetadataProfiler& profiler,
                     dict_rows.Row(d));
     }
   }
-  {
-    SAGED_TRACE_SPAN("featurize/gather");
-    const auto& codes = dict.codes();
-    for (size_t i = 0; i < cells.size(); ++i) {
-      std::span<const double> src = dict_rows.Row(codes[i]);
-      std::copy(src.begin(), src.end(), out->Row(i).begin());
-    }
+  return {&dict_rows, dict.codes()};
+}
+
+void ColumnFeaturizer::FeaturizeCellsInto(const MetadataProfiler& profiler,
+                                          const text::CharTfidf& tfidf,
+                                          std::span<const Cell> cells,
+                                          double distinct_ratio,
+                                          ml::Matrix* out,
+                                          FeatureArena* arena) const {
+  FeatureArena local;
+  if (arena == nullptr) arena = &local;
+  const FeatureView view =
+      FeaturizeCells(profiler, tfidf, cells, distinct_ratio, out, arena);
+  if (view.rows == out) return;  // the scalar path wrote `out` itself
+  SAGED_TRACE_SPAN("featurize/gather");
+  out->Reset(cells.size(), view.rows->cols());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    std::span<const double> src = view.rows->Row(view.codes[i]);
+    std::copy(src.begin(), src.end(), out->Row(i).begin());
   }
-  return Status::OK();
 }
 
 Result<ml::Matrix> ColumnFeaturizer::Featurize(const Column& column) const {
@@ -147,9 +156,8 @@ Result<ml::Matrix> ColumnFeaturizer::Featurize(const Column& column) const {
   SAGED_RETURN_NOT_OK(tfidf.Fit(column.values()));
 
   ml::Matrix out;
-  SAGED_RETURN_NOT_OK(FeaturizeCells(profiler, tfidf, column.values(),
-                                     profiler.profile().distinct_ratio, &out,
-                                     nullptr));
+  FeaturizeCellsInto(profiler, tfidf, column.values(),
+                     profiler.profile().distinct_ratio, &out, nullptr);
   SAGED_HISTOGRAM_OBSERVE("featurize.column_ms", watch.Millis());
   return out;
 }
@@ -162,11 +170,26 @@ Status ColumnFeaturizer::FeaturizeFrozenInto(const FrozenColumnStats& stats,
   SAGED_TRACE_SPAN("featurize/block");
   StopWatch watch;
 
-  SAGED_RETURN_NOT_OK(FeaturizeCells(stats.profiler, stats.tfidf, cells,
-                                     stats.profiler.profile().distinct_ratio,
-                                     out, arena));
+  FeaturizeCellsInto(stats.profiler, stats.tfidf, cells,
+                     stats.profiler.profile().distinct_ratio, out, arena);
   SAGED_HISTOGRAM_OBSERVE("featurize.block_ms", watch.Millis());
   return Status::OK();
+}
+
+Result<FeatureView> ColumnFeaturizer::FeaturizeFrozenView(
+    const FrozenColumnStats& stats, std::span<const Cell> cells,
+    FeatureArena* arena) const {
+  if (stats.rows() == 0) return Status::InvalidArgument("unfitted stats");
+  if (arena == nullptr) return Status::InvalidArgument("a view needs an arena");
+  SAGED_TRACE_SPAN("featurize/block");
+  StopWatch watch;
+
+  FeatureView view =
+      FeaturizeCells(stats.profiler, stats.tfidf, cells,
+                     stats.profiler.profile().distinct_ratio, &arena->rows_,
+                     arena);
+  SAGED_HISTOGRAM_OBSERVE("featurize.block_ms", watch.Millis());
+  return view;
 }
 
 }  // namespace saged::features

@@ -49,17 +49,29 @@ struct FeaturizeOptions {
 };
 
 /// Reusable featurization scratch (arena discipline): the dictionary, the
-/// per-dictionary feature matrix, and the TF-IDF plan buffers keep their
-/// allocations across calls, so the streaming path featurizes block after
-/// block with zero steady-state allocation beyond matrix fills. The arena
-/// is NOT thread-safe: concurrent callers each use their own.
+/// feature rows, and the TF-IDF plan buffers keep their allocations across
+/// calls, so the streaming path featurizes block after block with zero
+/// steady-state allocation beyond matrix fills. The arena is NOT
+/// thread-safe: concurrent callers each use their own.
 class FeatureArena {
  private:
   friend class ColumnFeaturizer;
   ColumnDictionary dict_;
-  ml::Matrix dict_rows_;        // one featurized row per distinct value
+  ml::Matrix rows_;             // one row per distinct value (or per cell)
   std::vector<double> idf_;     // per-vocab-char TF-IDF idf term
   std::vector<size_t> slots_;   // per-vocab-char CharSpace slot
+};
+
+/// One featurized block without the per-cell gather: cell i's feature row
+/// is `rows->Row(codes[i])`, or `rows->Row(i)` when `codes` is empty. A
+/// dictionary column yields its distinct rows plus the dictionary's codes;
+/// a scalar column yields one row per cell and no codes. Row-wise
+/// consumers (base-model inference) run over `rows` once and scatter
+/// through the codes, so each distinct value is computed once downstream
+/// too.
+struct FeatureView {
+  const ml::Matrix* rows = nullptr;
+  std::span<const uint32_t> codes;
 };
 
 /// The automatic featurization module: maps every cell of a column to the
@@ -101,6 +113,13 @@ class ColumnFeaturizer {
                              std::span<const Cell> cells, ml::Matrix* out,
                              FeatureArena* arena) const;
 
+  /// FeaturizeFrozenInto without the gather: the same rows, as a view into
+  /// `arena` (valid until the arena's next use). Gathering the view through
+  /// its codes reproduces FeaturizeFrozenInto's matrix byte for byte.
+  Result<FeatureView> FeaturizeFrozenView(const FrozenColumnStats& stats,
+                                          std::span<const Cell> cells,
+                                          FeatureArena* arena) const;
+
   /// Registers the column's characters into a (mutable) char space; called
   /// during knowledge extraction before any Featurize.
   static void RegisterChars(const Column& column, CharSpace* space);
@@ -118,13 +137,24 @@ class ColumnFeaturizer {
   TfidfPlan BuildTfidfPlan(const text::CharTfidf& tfidf,
                            FeatureArena* arena) const;
 
-  /// The shared block kernel behind Featurize / FeaturizeFrozenInto: picks the
-  /// scalar or dictionary path (kAuto decides from `distinct_ratio`, the
-  /// column-level ratio, so every block of a column takes the same path).
-  Status FeaturizeCells(const MetadataProfiler& profiler,
-                        const text::CharTfidf& tfidf,
-                        std::span<const Cell> cells, double distinct_ratio,
-                        ml::Matrix* out, FeatureArena* arena) const;
+  /// The shared block kernel behind every entry point: picks the scalar or
+  /// dictionary path (kAuto decides from `distinct_ratio`, the column-level
+  /// ratio, so every block of a column takes the same path). The scalar
+  /// path writes one row per cell into `cell_rows`; the dictionary path
+  /// writes one row per distinct value into the arena and returns its
+  /// codes.
+  FeatureView FeaturizeCells(const MetadataProfiler& profiler,
+                             const text::CharTfidf& tfidf,
+                             std::span<const Cell> cells,
+                             double distinct_ratio, ml::Matrix* cell_rows,
+                             FeatureArena* arena) const;
+
+  /// FeaturizeCells into `out`, one row per cell: a dictionary view is
+  /// gathered through its codes.
+  void FeaturizeCellsInto(const MetadataProfiler& profiler,
+                          const text::CharTfidf& tfidf,
+                          std::span<const Cell> cells, double distinct_ratio,
+                          ml::Matrix* out, FeatureArena* arena) const;
 
   void FeaturizeCell(const MetadataProfiler& profiler, const TfidfPlan& plan,
                      std::string_view cell, std::span<double> row) const;

@@ -3,7 +3,9 @@
 // (memcmp, not EXPECT_DOUBLE_EQ): the scalar path, the dictionary path, and
 // the SIMD kernels must agree bit-for-bit at any block size, thread count,
 // and dictionary cutoff — that identity is what lets the mode knob trade
-// work without ever trading results. Inputs deliberately include
+// work without ever trading results. Base-model inference over a block's
+// dictionary view (distinct rows + codes) must likewise equal inference
+// over the gathered per-cell rows. Inputs deliberately include
 // all-distinct and all-identical columns, empty strings, multi-byte UTF-8,
 // NUL-free high bytes, and values that straddle SIMD chunk boundaries
 // (lengths 15/16/17 around the 16-byte vector width).
@@ -15,6 +17,9 @@
 #include <vector>
 
 #include "common/executor.h"
+#include "core/config.h"
+#include "core/knowledge_base.h"
+#include "core/meta_features.h"
 #include "data/column.h"
 #include "datagen/datasets.h"
 #include "features/char_space.h"
@@ -22,6 +27,7 @@
 #include "features/featurizer.h"
 #include "features/frozen_stats.h"
 #include "features/kernels.h"
+#include "features/metadata_profiler.h"
 #include "text/tokenizer.h"
 #include "text/word2vec.h"
 
@@ -300,6 +306,105 @@ TEST(FeaturizeDictParityTest, ParallelColumnsIdenticalAtAnyThreadCount) {
     for (size_t j = 0; j < sequential.size(); ++j) {
       EXPECT_TRUE(SameBytes(sequential[j], parallel[j]))
           << columns[j].name() << " threads=" << threads;
+    }
+  }
+}
+
+// --- Dictionary-space inference ---------------------------------------------
+
+/// One fitted base model per core::ModelType, trained on `column`'s
+/// features (labels: every third cell dirty). Every FeaturizeContext has
+/// the same feature width, so these models score any test column.
+core::KnowledgeBase FitOneModelPerType(const Column& column) {
+  FeaturizeContext ctx(column);
+  ml::Matrix x = ctx.Featurize(column, FeaturizeMode::kScalar);
+  std::vector<int> y(x.rows());
+  for (size_t i = 0; i < y.size(); ++i) y[i] = i % 3 == 0 ? 1 : 0;
+  core::KnowledgeBase kb;
+  for (core::ModelType type :
+       {core::ModelType::kRandomForest, core::ModelType::kGradientBoosting,
+        core::ModelType::kLogisticRegression, core::ModelType::kMlp}) {
+    auto model = core::MakeModel(type, 7);
+    EXPECT_TRUE(model.ok()) << model.status().ToString();
+    if (!model.ok()) continue;
+    Status fitted = (*model)->Fit(x, y);
+    EXPECT_TRUE(fitted.ok()) << fitted.ToString();
+    core::BaseModelEntry entry;
+    entry.dataset = "fit";
+    entry.column = core::ModelTypeName(type);
+    entry.model = std::move(model).value();
+    kb.AddEntry(std::move(entry));
+  }
+  return kb;
+}
+
+TEST(FeaturizeDictParityTest, DictionarySpaceInferenceMatchesGathered) {
+  // The detector's inference: each block's FeatureView goes straight into
+  // BuildMetaFeaturesInto, which runs the models over the distinct rows and
+  // scatters through the codes. It must equal the matrix overload on the
+  // gathered per-cell rows, byte for byte, for every model family, block
+  // size, thread cap and metadata width.
+  auto datagen_columns = DatagenColumns();
+  ASSERT_FALSE(datagen_columns.empty());
+  const core::KnowledgeBase kb = FitOneModelPerType(datagen_columns[1]);
+  ASSERT_EQ(kb.size(), 4u);
+  std::vector<std::vector<size_t>> model_sets = {{0}, {1}, {2}, {3},
+                                                 {0, 1, 2, 3}};
+
+  std::vector<Column> columns = EdgeColumns();
+  for (size_t j = 0; j < datagen_columns.size(); j += 4) {
+    columns.push_back(datagen_columns[j]);
+  }
+  for (const auto& column : columns) {
+    FeaturizeContext ctx(column);
+    ColumnStatsBuilder builder;
+    for (const auto& cell : column.values()) builder.Observe(cell);
+    auto stats = builder.Finalize();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ColumnFeaturizer featurizer(&ctx.w2v, &ctx.space);  // auto mode
+    const size_t n = column.size();
+    for (size_t block_rows : {size_t{1}, size_t{7}, size_t{1000}, n}) {
+      for (size_t threads : {1u, 2u, 4u}) {
+        for (size_t metadata_cols : {size_t{0}, MetadataProfiler::kWidth}) {
+          for (const auto& models : model_sets) {
+            const size_t width = models.size() + metadata_cols;
+            ml::Matrix from_view(n, width);
+            ml::Matrix from_gather(n, width);
+            FeatureArena view_arena;
+            FeatureArena gather_arena;
+            ml::Matrix gathered;
+            for (size_t start = 0; start < n; start += block_rows) {
+              std::span<const Cell> cells(&column.values()[start],
+                                          std::min(block_rows, n - start));
+              auto view =
+                  featurizer.FeaturizeFrozenView(*stats, cells, &view_arena);
+              ASSERT_TRUE(view.ok()) << view.status().ToString();
+              if (column.name() == "all_distinct") {
+                EXPECT_TRUE(view->codes.empty());  // auto takes scalar
+              }
+              if (column.name() == "all_identical") {
+                EXPECT_EQ(view->rows->rows(), 1u);
+              }
+              Status s = core::BuildMetaFeaturesInto(
+                  *view->rows, view->codes, kb, models, metadata_cols,
+                  &from_view, start, &Executor::Shared(), threads);
+              ASSERT_TRUE(s.ok()) << s.ToString();
+              s = featurizer.FeaturizeFrozenInto(*stats, cells, &gathered,
+                                                 &gather_arena);
+              ASSERT_TRUE(s.ok()) << s.ToString();
+              s = core::BuildMetaFeaturesInto(gathered, kb, models,
+                                              metadata_cols, &from_gather,
+                                              start, &Executor::Shared(),
+                                              threads);
+              ASSERT_TRUE(s.ok()) << s.ToString();
+            }
+            EXPECT_TRUE(SameBytes(from_view, from_gather))
+                << column.name() << " block_rows=" << block_rows
+                << " threads=" << threads << " metadata=" << metadata_cols
+                << " models=" << models.size() << " first=" << models[0];
+          }
+        }
+      }
     }
   }
 }
