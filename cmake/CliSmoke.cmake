@@ -2,8 +2,9 @@
 # extract a knowledge-base store from one, then read the store back every
 # way the CLI can — stats, indexed detection on the other table, and a
 # re-shard. `extract --help` must list the registry's flags. Every step
-# must exit 0, and a malformed `--index-buckets` must be rejected rather
-# than read as "auto". The CLI drops CSVs into its working directory, so
+# must exit 0, a malformed `--index-buckets` must be rejected rather than
+# read as "auto", and a misspelled flag must be rejected rather than
+# ignored. The CLI drops CSVs into its working directory, so
 # everything runs inside WORK_DIR.
 foreach(var SAGED WORK_DIR)
   if(NOT DEFINED ${var})
@@ -15,9 +16,10 @@ file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
 # Runs `saged ARGN` in WORK_DIR; EXPECT_FAIL inverts the exit-code check,
-# and EXPECT_OUT REGEX requires stdout to match REGEX.
+# EXPECT_OUT REGEX requires stdout to match REGEX, and EXPECT_ERR REGEX
+# requires stderr to match REGEX.
 function(saged_step)
-  cmake_parse_arguments(STEP "EXPECT_FAIL" "EXPECT_OUT" "" ${ARGN})
+  cmake_parse_arguments(STEP "EXPECT_FAIL" "EXPECT_OUT;EXPECT_ERR" "" ${ARGN})
   execute_process(
     COMMAND ${SAGED} ${STEP_UNPARSED_ARGUMENTS}
     WORKING_DIRECTORY ${WORK_DIR}
@@ -35,6 +37,10 @@ function(saged_step)
   if(DEFINED STEP_EXPECT_OUT AND NOT out MATCHES "${STEP_EXPECT_OUT}")
     message(FATAL_ERROR
             "saged ${cmd} printed no match for '${STEP_EXPECT_OUT}':\n${out}")
+  endif()
+  if(DEFINED STEP_EXPECT_ERR AND NOT err MATCHES "${STEP_EXPECT_ERR}")
+    message(FATAL_ERROR
+            "saged ${cmd} printed no match for '${STEP_EXPECT_ERR}':\n${err}")
   endif()
   message(STATUS "saged ${cmd}\n${out}${err}")
 endfunction()
@@ -54,3 +60,7 @@ saged_step(kb build-index --kb kb_store --out kb_store_2
 saged_step(kb stats --kb kb_store_2/manifest.sagk)
 saged_step(kb build-index --kb kb_store --out kb_store_bad
            --index-buckets abc EXPECT_FAIL)
+# A misspelled flag is an error, not a silently kept default.
+saged_step(detect --kb kb_store --data beers_dirty.csv
+           --oracle-mask beers_mask.csv --budgte 5 --runs-dir none
+           EXPECT_FAIL EXPECT_ERR "unknown flag --budgte")

@@ -78,6 +78,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -460,31 +461,66 @@ int CmdKb(const Args& args) {
 }
 
 /// One subcommand: what it does, its own flags, and which groups of the
-/// shared registry (core/config_flags.h) it reads.
+/// shared registry (core/config_flags.h) it reads. Any other flag is an
+/// error.
 struct Command {
   const char* name;
   const char* summary;
   const char* usage;
+  std::span<const char* const> flags;  // the command's own flags
   bool config_flags;       // SagedConfigFlags, via ConfigFromArgs
   bool detection_flags;    // SagedDetectionFlags
   bool observability;      // --telemetry-out / --trace-out / --runs-dir
   int (*run)(const Args&);
 };
 
+constexpr const char* kGenerateFlags[] = {"rows", "seed", "error-rate",
+                                          "out-dir", "corpus"};
+constexpr const char* kExtractFlags[] = {"data", "mask", "out"};
+constexpr const char* kDetectFlags[] = {"kb", "data", "oracle-mask", "out"};
+constexpr const char* kPipelineFlags[] = {"history", "target", "rows"};
+constexpr const char* kKbFlags[] = {"kb", "out", "index-buckets", "seed"};
+
 constexpr Command kCommands[] = {
     {"list-datasets", "print the built-in datasets and their shapes",
-     "saged list-datasets", false, false, false, CmdListDatasets},
+     "saged list-datasets", {}, false, false, false, CmdListDatasets},
     {"generate", "write a generated dataset's dirty, clean and mask CSVs",
-     kGenerateUsage, false, false, false, CmdGenerate},
+     kGenerateUsage, kGenerateFlags, false, false, false, CmdGenerate},
     {"extract", "build a knowledge-base store from labeled history",
-     kExtractUsage, true, false, true, CmdExtract},
+     kExtractUsage, kExtractFlags, true, false, true, CmdExtract},
     {"detect", "detect the dirty cells of a CSV against a store",
-     kDetectUsage, true, true, true, CmdDetect},
+     kDetectUsage, kDetectFlags, true, true, true, CmdDetect},
     {"pipeline", "extract and detect on generated datasets, end to end",
-     kPipelineUsage, true, false, true, CmdPipeline},
-    {"kb", "print a store's shape or re-shard it", kKbUsage, false, false,
-     false, CmdKb},
+     kPipelineUsage, kPipelineFlags, true, false, true, CmdPipeline},
+    {"kb", "print a store's shape or re-shard it", kKbUsage, kKbFlags, false,
+     false, false, CmdKb},
 };
+
+/// True when `command` reads the flag `name`: one of its own, or one of a
+/// registry group it enables. --out-dir is the benches' artifact directory,
+/// not an output flag of the CLI's commands.
+bool Accepts(const Command& command, const std::string& name) {
+  for (const char* own : command.flags) {
+    if (name == own) return true;
+  }
+  return (command.config_flags && core::IsSagedConfigFlag(name)) ||
+         (command.detection_flags && core::IsSagedDetectionFlag(name)) ||
+         (command.observability && name != "out-dir" &&
+          core::IsSagedToolFlag(name));
+}
+
+/// InvalidArgument naming the first flag `command` does not read, so a
+/// misspelled flag fails instead of silently keeping its default.
+Status CheckFlags(const Command& command, const Args& args) {
+  for (const auto& [name, value] : args.flags) {
+    if (!Accepts(command, name)) {
+      return Status::InvalidArgument("unknown flag --" + name + " for '" +
+                                     command.name + "' (see saged " +
+                                     command.name + " --help)");
+    }
+  }
+  return Status::OK();
+}
 
 void PrintCommands(std::FILE* out) {
   std::fprintf(out, "usage: saged <command> [flags]\n\ncommands:\n");
@@ -554,5 +590,6 @@ int main(int argc, char** argv) {
   cli::SetCommandLine(argc, argv);
   auto args = cli::ParseArgs(argc, argv, 2);
   if (!args.ok()) return Fail(args.status());
+  if (auto s = CheckFlags(*command, *args); !s.ok()) return Fail(s);
   return command->run(*args);
 }
