@@ -21,6 +21,7 @@
 #include "features/char_space.h"
 #include "features/dictionary.h"
 #include "features/featurizer.h"
+#include "features/frozen_stats.h"
 #include "features/kernels.h"
 #include "kb/kb_builder.h"
 #include "kb/shard_store.h"
@@ -73,10 +74,12 @@ const Column& PooledColumn() {
   return col;
 }
 
-/// Featurization-mode sweep on the pooled column: range(0) selects the
-/// FeaturizeMode (0 scalar, 1 dict, 2 auto). Same work per iteration, so
-/// the items/s ratio between the cells IS the dictionary speedup.
-void BM_FeaturizeMode(benchmark::State& state) {
+/// Featurization on the pooled column under its frozen stats: range(0)
+/// selects the per-cell reference (0, FeaturizeFrozenCellwiseInto) or the
+/// production path (1, FeaturizeFrozenInto, which dictionary-encodes this
+/// column). Same work per iteration, so the items/s ratio between the
+/// cells IS the dictionary speedup.
+void BM_FeaturizePaths(benchmark::State& state) {
   const Column& col = PooledColumn();
   text::Word2Vec w2v({.dim = 6, .epochs = 2}, 3);
   std::vector<std::vector<std::string>> docs;
@@ -84,19 +87,29 @@ void BM_FeaturizeMode(benchmark::State& state) {
   SAGED_CHECK(w2v.Train(docs).ok());
   features::CharSpace space(64);
   features::ColumnFeaturizer::RegisterChars(col, &space);
-  features::FeaturizeOptions options;
-  options.mode = static_cast<features::FeaturizeMode>(state.range(0));
-  features::ColumnFeaturizer featurizer(&w2v, &space, options);
+  features::ColumnStatsBuilder builder;
+  for (const auto& cell : col.values()) builder.Observe(cell);
+  auto stats = builder.Finalize();
+  SAGED_CHECK(stats.ok()) << stats.status().ToString();
+  const features::ColumnFeaturizer featurizer(&w2v, &space);
+  const bool reference = state.range(0) == 0;
   features::kernels::SetSimdEnabled(true);
+  ml::Matrix out;
+  features::FeatureArena arena;
   for (auto _ : state) {
-    auto m = featurizer.Featurize(col);
-    benchmark::DoNotOptimize(m->rows());
+    const Status status =
+        reference ? featurizer.FeaturizeFrozenCellwiseInto(*stats, col.values(),
+                                                           &out, &arena)
+                  : featurizer.FeaturizeFrozenInto(*stats, col.values(), &out,
+                                                   &arena);
+    SAGED_CHECK(status.ok()) << status.ToString();
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(col.size()));
 }
-BENCHMARK(BM_FeaturizeMode)->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FeaturizePaths)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// Dictionary encode alone (distinct-value interning + code vector) over
 /// the pooled column — the fixed cost the gather path pays per block.

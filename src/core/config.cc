@@ -2,6 +2,7 @@
 
 #include "common/strings.h"
 #include "data/content_hash.h"
+#include "features/char_space.h"
 #include "ml/gradient_boosting.h"
 #include "ml/logistic_regression.h"
 #include "ml/mlp.h"
@@ -90,8 +91,10 @@ Status SagedConfig::Validate() const {
   if (base_model_sample_cap == 0) {
     return Status::InvalidArgument("base_model_sample_cap must be > 0");
   }
-  if (char_slots == 0) {
-    return Status::InvalidArgument("char_slots must be > 0");
+  if (char_slots == 0 || char_slots > features::CharSpace::kMaxCapacity) {
+    return Status::InvalidArgument(
+        StrFormat("char_slots must be in [1, %zu], got %zu",
+                  features::CharSpace::kMaxCapacity, char_slots));
   }
   if (w2v.dim == 0) {
     return Status::InvalidArgument("w2v.dim must be > 0");
@@ -142,11 +145,9 @@ uint64_t ConfigContentHash(const SagedConfig& config) {
   return h.Digest();
 }
 
-features::FeaturizeOptions MakeFeaturizeOptions(const SagedConfig& config) {
-  features::FeaturizeOptions options;
-  options.toggles = {config.use_metadata_features, config.use_w2v_features,
-                     config.use_tfidf_features};
-  return options;
+features::FeatureToggles MakeFeaturizeOptions(const SagedConfig& config) {
+  return {config.use_metadata_features, config.use_w2v_features,
+          config.use_tfidf_features};
 }
 
 Result<std::unique_ptr<ml::BinaryClassifier>> MakeModel(ModelType type,

@@ -110,7 +110,8 @@ struct SagedConfig {
 
   // --- featurization ---
   text::Word2VecOptions w2v;
-  /// TF-IDF slots in the shared zero-padded character space.
+  /// TF-IDF slots in the shared zero-padded character space, at most
+  /// CharSpace::kMaxCapacity (one per byte value plus the overflow slot).
   size_t char_slots = 64;
   /// Feature-family ablation switches (all on by default).
   bool use_metadata_features = true;
@@ -143,9 +144,9 @@ struct SagedConfig {
 };
 
 /// The features-layer view of the featurization knobs: the family toggles.
-/// The hot path is always FeaturizeOptions' default (auto: the dictionary
-/// path for columns at most half distinct, byte-identical to scalar).
-features::FeaturizeOptions MakeFeaturizeOptions(const SagedConfig& config);
+/// Everything else about featurization is fixed (ColumnFeaturizer has one
+/// path).
+features::FeatureToggles MakeFeaturizeOptions(const SagedConfig& config);
 
 /// Instantiates an untrained classifier of the given family; an enum value
 /// outside the known families yields InvalidArgument (never nullptr).

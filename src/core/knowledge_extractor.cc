@@ -12,8 +12,8 @@
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "features/featurizer.h"
+#include "features/frozen_stats.h"
 #include "features/kernels.h"
-#include "features/signature.h"
 #include "text/tokenizer.h"
 
 namespace saged::core {
@@ -49,17 +49,34 @@ Status KnowledgeExtractor::AddDataset(const Table& data,
 
   SAGED_COUNTER_INC("extract.datasets");
 
-  // 1. Register this dataset's characters into the shared char space so the
-  //    zero-padded TF-IDF slots cover its vocabulary.
+  // 1. One scan per column freezes everything extraction needs from it:
+  //    the metadata profile and TF-IDF corpus (featurization), the type and
+  //    the signature (matching). Detection's scan builds the same stats.
+  //    It runs on the calling thread: the value maps outlive Word2Vec
+  //    training, and built on pool workers they fragmented the workers'
+  //    malloc arenas (repeated extractions peaked up to a fifth higher).
+  const size_t cols = data.NumCols();
+  std::vector<features::FrozenColumnStats> stats(cols);
   {
-    SAGED_TRACE_SPAN("extract/register_chars");
-    for (const auto& column : data.columns()) {
-      features::ColumnFeaturizer::RegisterChars(column,
-                                                kb->mutable_char_space());
+    SAGED_TRACE_SPAN("extract/scan_stats");
+    for (size_t j = 0; j < cols; ++j) {
+      features::ColumnStatsBuilder builder;
+      for (const Cell& cell : data.column(j).values()) builder.Observe(cell);
+      SAGED_ASSIGN_OR_RETURN(stats[j], builder.Finalize());
     }
   }
 
-  // 2. Train the dataset-level Word2Vec model (each tuple is a document).
+  // 2. Register each column's characters (its first-seen TF-IDF
+  //    vocabulary) into the shared char space, in column order, so the
+  //    zero-padded TF-IDF slots cover this dataset's vocabulary.
+  {
+    SAGED_TRACE_SPAN("extract/register_chars");
+    for (const auto& column_stats : stats) {
+      kb->mutable_char_space()->Register(column_stats.tfidf.vocabulary());
+    }
+  }
+
+  // 3. Train the dataset-level Word2Vec model (each tuple is a document).
   std::vector<std::vector<std::string>> documents;
   documents.reserve(data.NumRows());
   for (size_t r = 0; r < data.NumRows(); ++r) {
@@ -71,7 +88,7 @@ Status KnowledgeExtractor::AddDataset(const Table& data,
     SAGED_RETURN_NOT_OK(w2v.Train(documents));
   }
 
-  // 3. One base model per column, fanned out over the shared executor.
+  // 4. One base model per column, fanned out over the shared executor.
   //    Each column owns an RNG derived from (seed, column index) and writes
   //    into its own slot, then slots are appended in column order — the
   //    knowledge base comes out bit-identical at any thread count.
@@ -86,24 +103,26 @@ Status KnowledgeExtractor::AddDataset(const Table& data,
   const size_t expected_width =
       features::ColumnFeaturizer::FeatureWidth(config_.w2v.dim,
                                                kb->char_space());
-  const size_t cols = data.NumCols();
   std::vector<std::optional<BaseModelEntry>> slots(cols);
   std::vector<Status> column_status(cols);
   auto train_column = [&](size_t j) {
     const Column& column = data.column(j);
     Rng rng(ColumnSeed(config_.seed, j));
-    Result<ml::Matrix> features = [&] {
+    ml::Matrix features;
+    {
       SAGED_TRACE_SPAN("extract/featurize");
-      return featurizer.Featurize(column);
-    }();
-    if (!features.ok()) {
-      column_status[j] = features.status();
-      return;
+      column_status[j] = featurizer.FeaturizeFrozenInto(
+          stats[j], column.values(), &features, nullptr);
     }
-    SAGED_CHECK_EQ(features->cols(), expected_width)
+    // The stats are spent once the features exist: release them now, so
+    // the scan's value maps do not all stay alive through training.
+    std::vector<double> signature = std::move(stats[j].signature);
+    stats[j] = {};
+    if (!column_status[j].ok()) return;
+    SAGED_CHECK_EQ(features.cols(), expected_width)
         << "featurization width drifted for " << data.name() << "."
         << column.name();
-    SAGED_CHECK_EQ(features->rows(), column.values().size())
+    SAGED_CHECK_EQ(features.rows(), column.values().size())
         << "featurizer must emit one row per cell of " << data.name() << "."
         << column.name();
     std::vector<int> y = labels.ColumnLabels(j);
@@ -111,7 +130,7 @@ Status KnowledgeExtractor::AddDataset(const Table& data,
     // Cap the training set; keep every dirty cell (they are the rare class
     // that carries the error-pattern knowledge) and subsample the clean
     // ones.
-    if (features->rows() > config_.base_model_sample_cap) {
+    if (features.rows() > config_.base_model_sample_cap) {
       std::vector<size_t> dirty_rows;
       std::vector<size_t> clean_rows;
       for (size_t r = 0; r < y.size(); ++r) {
@@ -126,7 +145,7 @@ Status KnowledgeExtractor::AddDataset(const Table& data,
       std::vector<size_t> keep = dirty_rows;
       keep.insert(keep.end(), clean_rows.begin(), clean_rows.end());
       std::sort(keep.begin(), keep.end());
-      *features = features->SelectRows(keep);
+      features = features.SelectRows(keep);
       std::vector<int> y_sub;
       y_sub.reserve(keep.size());
       for (size_t r : keep) y_sub.push_back(y[r]);
@@ -152,7 +171,7 @@ Status KnowledgeExtractor::AddDataset(const Table& data,
     StopWatch fit_watch;
     {
       SAGED_TRACE_SPAN("extract/fit");
-      column_status[j] = (*model)->Fit(*features, y);
+      column_status[j] = (*model)->Fit(features, y);
     }
     if (!column_status[j].ok()) return;
     SAGED_HISTOGRAM_OBSERVE("extract.base_model_fit_ms", fit_watch.Millis());
@@ -161,7 +180,7 @@ Status KnowledgeExtractor::AddDataset(const Table& data,
     BaseModelEntry entry;
     entry.dataset = data.name();
     entry.column = column.name();
-    entry.signature = features::ColumnSignature(column);
+    entry.signature = std::move(signature);
     entry.model = std::move(model).value();
     slots[j] = std::move(entry);
   };

@@ -15,8 +15,11 @@ namespace saged::core {
 /// effort), featurize the cells, train one binary base classifier, compute
 /// the column signature, and store everything in the KnowledgeBase.
 ///
-/// The per-column featurize+train loop — embarrassingly parallel — runs on
-/// the given executor, capped by `config.extract_threads`. Each column
+/// Each column is read once into features::FrozenColumnStats (the frozen
+/// statistics detection's scan builds), which supply its char-space
+/// vocabulary, its features and its signature. The per-column
+/// featurize+train loop — embarrassingly parallel — runs on the given
+/// executor, capped by `config.extract_threads`. Each column
 /// derives its own RNG stream from (config.seed, column index), so the
 /// extracted knowledge base is bit-identical at any thread count.
 class KnowledgeExtractor {

@@ -27,14 +27,26 @@ void CharSpace::Save(BinaryWriter* writer) const {
 Status CharSpace::Load(BinaryReader* reader) {
   SAGED_ASSIGN_OR_RETURN(capacity_, reader->ReadU64());
   SAGED_ASSIGN_OR_RETURN(registered_, reader->ReadU64());
-  if (capacity_ < 2 || registered_ >= capacity_) {
+  if (capacity_ < 2 || capacity_ > kMaxCapacity || registered_ >= capacity_) {
     return Status::IoError("corrupt char space header");
   }
+  std::array<bool, kMaxCapacity> taken{};
+  size_t assigned = 0;
   for (auto& slot : slots_) {
     SAGED_ASSIGN_OR_RETURN(slot, reader->ReadI32());
-    if (slot >= static_cast<int>(capacity_)) {
+    if (slot < 0) {
+      if (slot != -1) return Status::IoError("corrupt char space slot");
+      continue;
+    }
+    const auto s = static_cast<size_t>(slot);
+    if (s >= registered_ || taken[s]) {
       return Status::IoError("corrupt char space slot");
     }
+    taken[s] = true;
+    ++assigned;
+  }
+  if (assigned != registered_) {
+    return Status::IoError("char space slot count does not match its header");
   }
   return Status::OK();
 }

@@ -20,6 +20,10 @@ namespace saged::features {
 /// the width the base models were trained with.
 class CharSpace {
  public:
+  /// Largest meaningful capacity: one slot per byte value plus the overflow
+  /// slot. No slot past it can ever be assigned.
+  static constexpr size_t kMaxCapacity = 257;
+
   /// `capacity` counts assignable slots plus the reserved overflow slot.
   explicit CharSpace(size_t capacity = 64);
 
@@ -41,6 +45,10 @@ class CharSpace {
   bool IsRegistered(unsigned char c) const { return slots_[c] >= 0; }
 
   /// Persists / restores the slot assignment (knowledge-base file format).
+  /// Load rejects, as IoError, any assignment Register could not have
+  /// produced: a capacity outside [2, kMaxCapacity] (it sizes every feature
+  /// row), or slots that are not exactly 0 .. NumRegistered() - 1, each
+  /// assigned once.
   void Save(BinaryWriter* writer) const;
   Status Load(BinaryReader* reader);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/stopwatch.h"
 #include "common/telemetry.h"
@@ -48,15 +49,15 @@ void ColumnFeaturizer::FeaturizeCell(const MetadataProfiler& profiler,
   const size_t meta_w = MetadataProfiler::kWidth;
   const size_t w2v_dim = w2v_->dim();
 
-  if (options_.toggles.metadata) {
+  if (toggles_.metadata) {
     profiler.CellFeaturesInto(cell, row.subspan(0, meta_w));
   }
 
-  if (options_.toggles.word2vec) {
+  if (toggles_.word2vec) {
     w2v_->EmbedValueInto(cell, row.subspan(meta_w, w2v_dim));
   }
 
-  if (options_.toggles.tfidf && !cell.empty() && plan.tfidf->NumDocs() > 0) {
+  if (toggles_.tfidf && !cell.empty() && plan.tfidf->NumDocs() > 0) {
     // TF-IDF into shared slots; unregistered characters accumulate in the
     // overflow slot (zero-padding of Figure 5 for everything else). One
     // batched histogram per cell replaces the per-vocab-char scans; the tf
@@ -75,104 +76,17 @@ void ColumnFeaturizer::FeaturizeCell(const MetadataProfiler& profiler,
   }
 }
 
-FeatureView ColumnFeaturizer::FeaturizeCells(const MetadataProfiler& profiler,
-                                             const text::CharTfidf& tfidf,
-                                             std::span<const Cell> cells,
-                                             double distinct_ratio,
-                                             ml::Matrix* cell_rows,
-                                             FeatureArena* arena) const {
-  const size_t width = FeatureWidth(w2v_->dim(), *space_);
-  SAGED_COUNTER_ADD("featurize.cells", cells.size());
-  const TfidfPlan plan = BuildTfidfPlan(tfidf, arena);
-
-  FeaturizeMode mode = options_.mode;
-  if (mode == FeaturizeMode::kAuto) {
-    // Decide from the column-level ratio (frozen before any block work), so
-    // every block of a column takes the same path regardless of blocking.
-    mode = distinct_ratio <= options_.dict_max_distinct_ratio
-               ? FeaturizeMode::kDict
-               : FeaturizeMode::kScalar;
-  }
-
-  if (mode == FeaturizeMode::kScalar) {
-    cell_rows->Reset(cells.size(), width);
-    for (size_t i = 0; i < cells.size(); ++i) {
-      FeaturizeCell(profiler, plan, cells[i], cell_rows->Row(i));
-    }
-    return {cell_rows, {}};
-  }
-
-  // Dictionary path: profile each distinct value exactly once. Gathering
-  // rows through the codes is byte-identical to the scalar loop because
-  // FeaturizeCell is a pure function of (cell bytes, frozen column stats).
-  ColumnDictionary& dict = arena->dict_;
-  {
-    SAGED_TRACE_SPAN("featurize/encode");
-    dict.Encode(cells);
-  }
-  SAGED_COUNTER_ADD("featurize.dict_cells", cells.size());
-  SAGED_COUNTER_ADD("featurize.dict_hits", cells.size() - dict.size());
-  SAGED_HISTOGRAM_OBSERVE("featurize.distinct_ratio", dict.distinct_ratio());
-
-  ml::Matrix& dict_rows = arena->rows_;
-  {
-    SAGED_TRACE_SPAN("featurize/dict_profile");
-    dict_rows.Reset(dict.size(), width);
-    for (size_t d = 0; d < dict.size(); ++d) {
-      FeaturizeCell(profiler, plan, dict.value(static_cast<uint32_t>(d)),
-                    dict_rows.Row(d));
-    }
-  }
-  return {&dict_rows, dict.codes()};
-}
-
-void ColumnFeaturizer::FeaturizeCellsInto(const MetadataProfiler& profiler,
-                                          const text::CharTfidf& tfidf,
-                                          std::span<const Cell> cells,
-                                          double distinct_ratio,
-                                          ml::Matrix* out,
-                                          FeatureArena* arena) const {
+Status ColumnFeaturizer::FeaturizeFrozenCellwiseInto(
+    const FrozenColumnStats& stats, std::span<const Cell> cells,
+    ml::Matrix* out, FeatureArena* arena) const {
+  if (stats.rows() == 0) return Status::InvalidArgument("unfitted stats");
   FeatureArena local;
   if (arena == nullptr) arena = &local;
-  const FeatureView view =
-      FeaturizeCells(profiler, tfidf, cells, distinct_ratio, out, arena);
-  if (view.rows == out) return;  // the scalar path wrote `out` itself
-  SAGED_TRACE_SPAN("featurize/gather");
-  out->Reset(cells.size(), view.rows->cols());
+  const TfidfPlan plan = BuildTfidfPlan(stats.tfidf, arena);
+  out->Reset(cells.size(), FeatureWidth(w2v_->dim(), *space_));
   for (size_t i = 0; i < cells.size(); ++i) {
-    std::span<const double> src = view.rows->Row(view.codes[i]);
-    std::copy(src.begin(), src.end(), out->Row(i).begin());
+    FeaturizeCell(stats.profiler, plan, cells[i], out->Row(i));
   }
-}
-
-Result<ml::Matrix> ColumnFeaturizer::Featurize(const Column& column) const {
-  if (column.empty()) return Status::InvalidArgument("empty column");
-  SAGED_TRACE_SPAN("featurize/column");
-  StopWatch watch;
-
-  MetadataProfiler profiler;
-  SAGED_RETURN_NOT_OK(profiler.Fit(column));
-  text::CharTfidf tfidf;
-  SAGED_RETURN_NOT_OK(tfidf.Fit(column.values()));
-
-  ml::Matrix out;
-  FeaturizeCellsInto(profiler, tfidf, column.values(),
-                     profiler.profile().distinct_ratio, &out, nullptr);
-  SAGED_HISTOGRAM_OBSERVE("featurize.column_ms", watch.Millis());
-  return out;
-}
-
-Status ColumnFeaturizer::FeaturizeFrozenInto(const FrozenColumnStats& stats,
-                                             std::span<const Cell> cells,
-                                             ml::Matrix* out,
-                                             FeatureArena* arena) const {
-  if (stats.rows() == 0) return Status::InvalidArgument("unfitted stats");
-  SAGED_TRACE_SPAN("featurize/block");
-  StopWatch watch;
-
-  FeaturizeCellsInto(stats.profiler, stats.tfidf, cells,
-                     stats.profiler.profile().distinct_ratio, out, arena);
-  SAGED_HISTOGRAM_OBSERVE("featurize.block_ms", watch.Millis());
   return Status::OK();
 }
 
@@ -183,13 +97,74 @@ Result<FeatureView> ColumnFeaturizer::FeaturizeFrozenView(
   if (arena == nullptr) return Status::InvalidArgument("a view needs an arena");
   SAGED_TRACE_SPAN("featurize/block");
   StopWatch watch;
+  SAGED_COUNTER_ADD("featurize.cells", cells.size());
 
-  FeatureView view =
-      FeaturizeCells(stats.profiler, stats.tfidf, cells,
-                     stats.profiler.profile().distinct_ratio, &arena->rows_,
-                     arena);
+  ml::Matrix& rows = arena->rows_;
+  FeatureView view{&rows, {}};
+  if (stats.profiler.profile().distinct_ratio > kDictMaxDistinctRatio) {
+    SAGED_RETURN_NOT_OK(FeaturizeFrozenCellwiseInto(stats, cells, &rows, arena));
+  } else {
+    // Dictionary: featurize each distinct value exactly once. Cell i's row
+    // is rows.Row(codes[i]), byte-identical to the per-cell loop because
+    // FeaturizeCell is a pure function of (cell bytes, frozen column stats).
+    ColumnDictionary& dict = arena->dict_;
+    {
+      SAGED_TRACE_SPAN("featurize/encode");
+      dict.Encode(cells);
+    }
+    SAGED_COUNTER_ADD("featurize.dict_cells", cells.size());
+    SAGED_COUNTER_ADD("featurize.dict_hits", cells.size() - dict.size());
+    SAGED_HISTOGRAM_OBSERVE("featurize.distinct_ratio", dict.distinct_ratio());
+
+    SAGED_TRACE_SPAN("featurize/dict_profile");
+    const TfidfPlan plan = BuildTfidfPlan(stats.tfidf, arena);
+    rows.Reset(dict.size(), FeatureWidth(w2v_->dim(), *space_));
+    for (size_t d = 0; d < dict.size(); ++d) {
+      FeaturizeCell(stats.profiler, plan, dict.value(static_cast<uint32_t>(d)),
+                    rows.Row(d));
+    }
+    view.codes = dict.codes();
+  }
   SAGED_HISTOGRAM_OBSERVE("featurize.block_ms", watch.Millis());
   return view;
+}
+
+Status ColumnFeaturizer::FeaturizeFrozenInto(const FrozenColumnStats& stats,
+                                             std::span<const Cell> cells,
+                                             ml::Matrix* out,
+                                             FeatureArena* arena) const {
+  FeatureArena local;
+  if (arena == nullptr) arena = &local;
+  SAGED_ASSIGN_OR_RETURN(FeatureView view,
+                         FeaturizeFrozenView(stats, cells, arena));
+  if (view.codes.empty()) {
+    // Already one row per cell: hand the rows over instead of copying them
+    // (the arena keeps `out`'s old buffer for its next block).
+    std::swap(*out, arena->rows_);
+    return Status::OK();
+  }
+  SAGED_TRACE_SPAN("featurize/gather");
+  out->Reset(cells.size(), view.rows->cols());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    std::span<const double> src = view.rows->Row(view.codes[i]);
+    std::copy(src.begin(), src.end(), out->Row(i).begin());
+  }
+  return Status::OK();
+}
+
+Result<ml::Matrix> ColumnFeaturizer::Featurize(const Column& column) const {
+  if (column.empty()) return Status::InvalidArgument("empty column");
+  SAGED_TRACE_SPAN("featurize/column");
+  StopWatch watch;
+
+  ColumnStatsBuilder builder;
+  for (const auto& cell : column.values()) builder.Observe(cell);
+  SAGED_ASSIGN_OR_RETURN(FrozenColumnStats stats, builder.Finalize());
+  ml::Matrix out;
+  SAGED_RETURN_NOT_OK(
+      FeaturizeFrozenInto(stats, column.values(), &out, nullptr));
+  SAGED_HISTOGRAM_OBSERVE("featurize.column_ms", watch.Millis());
+  return out;
 }
 
 }  // namespace saged::features

@@ -1,4 +1,5 @@
 #include <memory>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "core/meta_features.h"
 #include "data/content_hash.h"
 #include "datagen/datasets.h"
+#include "features/char_space.h"
 #include "features/featurizer.h"
 #include "features/signature.h"
 #include "text/tokenizer.h"
@@ -276,6 +278,64 @@ TEST(KnowledgeExtractorTest, RejectsShapeMismatch) {
   KnowledgeExtractor extractor(config);
   ErrorMask wrong(10, 2);
   EXPECT_FALSE(extractor.AddDataset(ds->dirty, wrong, &kb).ok());
+}
+
+// Extraction reads each column once into frozen stats. Its signatures and
+// char space must equal the whole-column references it no longer calls:
+// ColumnSignature per column, and RegisterChars over the columns in order.
+// Four datasets cover numeric, date, categorical and text columns.
+TEST(KnowledgeExtractorTest, OneScanMatchesColumnReferences) {
+  std::vector<datagen::Dataset> datasets;
+  for (const char* name : {"hospital", "tax", "flights", "beers"}) {
+    datagen::MakeOptions gen;
+    gen.rows = 200;
+    auto ds = datagen::MakeDataset(name, gen);
+    ASSERT_TRUE(ds.ok()) << name << ": " << ds.status().ToString();
+    datasets.push_back(std::move(ds).value());
+  }
+  SagedConfig config;
+  config.w2v.epochs = 1;
+  features::CharSpace reference_space(config.char_slots);
+  std::set<ColumnType> types;
+  for (const auto& ds : datasets) {
+    for (const auto& column : ds.dirty.columns()) {
+      features::ColumnFeaturizer::RegisterChars(column, &reference_space);
+      types.insert(column.InferType());
+    }
+  }
+  EXPECT_EQ(types.size(), 4u) << "every column type should be covered";
+
+  for (size_t threads : {1u, 4u}) {
+    config.extract_threads = threads;
+    KnowledgeBase kb(config.char_slots);
+    KnowledgeExtractor extractor(config);
+    for (const auto& ds : datasets) {
+      ASSERT_TRUE(extractor.AddDataset(ds.dirty, ds.mask, &kb).ok());
+    }
+    ASSERT_GT(kb.size(), 0u);
+    for (const auto& entry : kb.entries()) {
+      const datagen::Dataset* ds = nullptr;
+      for (const auto& candidate : datasets) {
+        if (candidate.dirty.name() == entry.dataset) ds = &candidate;
+      }
+      ASSERT_NE(ds, nullptr) << entry.dataset;
+      auto j = ds->dirty.ColumnIndex(entry.column);
+      ASSERT_TRUE(j.ok()) << entry.dataset << "." << entry.column;
+      EXPECT_EQ(entry.signature,
+                features::ColumnSignature(ds->dirty.column(*j)))
+          << entry.dataset << "." << entry.column << " threads=" << threads;
+    }
+    const features::CharSpace& space = kb.char_space();
+    EXPECT_EQ(space.capacity(), reference_space.capacity());
+    EXPECT_EQ(space.NumRegistered(), reference_space.NumRegistered());
+    for (int c = 0; c < 256; ++c) {
+      const auto byte = static_cast<unsigned char>(c);
+      EXPECT_EQ(space.IsRegistered(byte), reference_space.IsRegistered(byte))
+          << "byte " << c << " threads=" << threads;
+      EXPECT_EQ(space.SlotFor(byte), reference_space.SlotFor(byte))
+          << "byte " << c << " threads=" << threads;
+    }
+  }
 }
 
 TEST(MetaFeaturesTest, ShapeAndProbabilityRange) {

@@ -14,6 +14,7 @@
 #include "core/config_flags.h"
 #include "core/detector.h"
 #include "datagen/datasets.h"
+#include "features/char_space.h"
 #include "kb/kb_builder.h"
 
 namespace saged::core {
@@ -131,6 +132,19 @@ TEST(ConfigValidation, RejectsOutOfRangeKnobs) {
   config = SagedConfig{};
   config.w2v.dim = 0;
   EXPECT_FALSE(config.Validate().ok());
+}
+
+// One slot per byte value plus the overflow slot is the most a char space
+// can use; a wider one would only pad every feature row.
+TEST(ConfigValidation, RejectsCharSlotsBeyondByteRange) {
+  SagedConfig config;
+  config.char_slots = features::CharSpace::kMaxCapacity;
+  EXPECT_TRUE(config.Validate().ok());
+  config.char_slots = features::CharSpace::kMaxCapacity + 1;
+  auto status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("char_slots"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(ConfigValidation, ExtractionRejectsInvalidConfig) {

@@ -1,14 +1,16 @@
-// The byte-identity parity wall for the dictionary-encoded, SIMD-friendly
-// featurization hot path. Every test here compares raw matrix bytes
-// (memcmp, not EXPECT_DOUBLE_EQ): the scalar path, the dictionary path, and
-// the SIMD kernels must agree bit-for-bit at any block size, thread count,
-// and dictionary cutoff — that identity is what lets the mode knob trade
-// work without ever trading results. Base-model inference over a block's
-// dictionary view (distinct rows + codes) must likewise equal inference
-// over the gathered per-cell rows. Inputs deliberately include
-// all-distinct and all-identical columns, empty strings, multi-byte UTF-8,
-// NUL-free high bytes, and values that straddle SIMD chunk boundaries
-// (lengths 15/16/17 around the 16-byte vector width).
+// The byte-identity parity wall for featurization. ColumnFeaturizer has
+// one path: a column at most ColumnFeaturizer::kDictMaxDistinctRatio
+// distinct is dictionary-encoded (each distinct value featurized once),
+// any other column runs the per-cell loop. Every production entry point —
+// Featurize, FeaturizeFrozenInto, FeaturizeFrozenView plus its gather — is
+// compared here against FeaturizeFrozenCellwiseInto, the per-cell
+// reference, on raw matrix bytes (memcmp, not EXPECT_DOUBLE_EQ), with the
+// SIMD kernels on and off, at any block size and thread count. Base-model
+// inference over a block's dictionary view (distinct rows + codes) must
+// likewise equal inference over the gathered per-cell rows. Inputs
+// deliberately include all-distinct and all-identical columns, empty
+// strings, multi-byte UTF-8, NUL-free high bytes, and values that straddle
+// SIMD chunk boundaries (lengths 15/16/17 around the 16-byte vector width).
 
 #include <gtest/gtest.h>
 
@@ -54,6 +56,15 @@ bool SameBytes(const ml::Matrix& a, const ml::Matrix& b) {
                      a.data().size() * sizeof(double)) == 0;
 }
 
+/// Frozen statistics of a whole column (one ColumnStatsBuilder pass).
+FrozenColumnStats Freeze(const Column& column) {
+  ColumnStatsBuilder builder;
+  for (const auto& cell : column.values()) builder.Observe(cell);
+  auto stats = builder.Finalize();
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  return stats.ok() ? std::move(stats).value() : FrozenColumnStats{};
+}
+
 /// A trained featurization context for one column: dataset-level Word2Vec
 /// (trained on the column's tokens so embeddings are non-trivial) plus a
 /// char space covering the column.
@@ -74,13 +85,20 @@ struct FeaturizeContext {
     ColumnFeaturizer::RegisterChars(column, &space);
   }
 
-  ml::Matrix Featurize(const Column& column, FeaturizeMode mode,
-                       double cutoff = 0.5) {
-    FeaturizeOptions options;
-    options.mode = mode;
-    options.dict_max_distinct_ratio = cutoff;
-    ColumnFeaturizer featurizer(&w2v, &space, options);
-    auto m = featurizer.Featurize(column);
+  ColumnFeaturizer featurizer() const { return ColumnFeaturizer(&w2v, &space); }
+
+  /// The per-cell reference over the whole column.
+  ml::Matrix Reference(const Column& column) const {
+    ml::Matrix out;
+    Status s = featurizer().FeaturizeFrozenCellwiseInto(Freeze(column),
+                                                        column.values(), &out);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return out;
+  }
+
+  /// The production whole-column entry point.
+  ml::Matrix Featurize(const Column& column) const {
+    auto m = featurizer().Featurize(column);
     EXPECT_TRUE(m.ok()) << m.status().ToString();
     return m.ok() ? std::move(m).value() : ml::Matrix();
   }
@@ -91,17 +109,13 @@ struct FeaturizeContext {
 
 /// Featurizes `column` under frozen stats in blocks of `block_rows` cells,
 /// reusing one arena across blocks (the streaming detector's discipline),
-/// and returns the concatenated matrix.
-ml::Matrix FeaturizeBlocked(FeaturizeContext& ctx, const Column& column,
-                            FeaturizeMode mode, size_t block_rows) {
-  ColumnStatsBuilder builder;
-  for (const auto& cell : column.values()) builder.Observe(cell);
-  auto stats = builder.Finalize();
-  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-
-  FeaturizeOptions options;
-  options.mode = mode;
-  ColumnFeaturizer featurizer(&ctx.w2v, &ctx.space, options);
+/// and returns the concatenated matrix. Each block goes through
+/// FeaturizeFrozenInto, or with `through_view` through FeaturizeFrozenView
+/// and a gather over its codes written here.
+ml::Matrix FeaturizeBlocked(const FeaturizeContext& ctx, const Column& column,
+                            size_t block_rows, bool through_view) {
+  const FrozenColumnStats stats = Freeze(column);
+  const ColumnFeaturizer featurizer = ctx.featurizer();
   const size_t width = ColumnFeaturizer::FeatureWidth(ctx.w2v.dim(), ctx.space);
   ml::Matrix out(column.size(), width);
   FeatureArena arena;
@@ -109,7 +123,17 @@ ml::Matrix FeaturizeBlocked(FeaturizeContext& ctx, const Column& column,
   for (size_t start = 0; start < column.size(); start += block_rows) {
     size_t n = std::min(block_rows, column.size() - start);
     std::span<const Cell> cells(&column.values()[start], n);
-    Status s = featurizer.FeaturizeFrozenInto(*stats, cells, &block, &arena);
+    if (through_view) {
+      auto view = featurizer.FeaturizeFrozenView(stats, cells, &arena);
+      EXPECT_TRUE(view.ok()) << view.status().ToString();
+      if (!view.ok()) return out;
+      for (size_t i = 0; i < n; ++i) {
+        auto src = view->rows->Row(view->codes.empty() ? i : view->codes[i]);
+        std::copy(src.begin(), src.end(), out.Row(start + i).begin());
+      }
+      continue;
+    }
+    Status s = featurizer.FeaturizeFrozenInto(stats, cells, &block, &arena);
     EXPECT_TRUE(s.ok()) << s.ToString();
     for (size_t i = 0; i < n; ++i) {
       auto src = block.Row(i);
@@ -121,7 +145,8 @@ ml::Matrix FeaturizeBlocked(FeaturizeContext& ctx, const Column& column,
 
 /// Adversarial hand-built columns, straddling every edge the kernels have:
 /// empty strings, missing tokens, multi-byte UTF-8, high bytes, and values
-/// whose lengths bracket the 16-byte SIMD chunk boundary.
+/// whose lengths bracket the 16-byte SIMD chunk boundary. Every column but
+/// all_distinct is at most half distinct, so it takes the dictionary.
 std::vector<Column> EdgeColumns() {
   std::vector<Column> columns;
   columns.emplace_back("all_identical",
@@ -131,13 +156,19 @@ std::vector<Column> EdgeColumns() {
     for (int i = 0; i < 64; ++i) distinct.push_back("v" + std::to_string(i));
     columns.emplace_back("all_distinct", std::move(distinct));
   }
+  // Each list twice: 6 distinct of 20 and 7 distinct of 20, so empty
+  // strings and multi-byte UTF-8 run through the dictionary.
+  auto twice = [](std::vector<Cell> cells) {
+    const size_t n = cells.size();
+    for (size_t i = 0; i < n; ++i) cells.push_back(cells[i]);
+    return cells;
+  };
   columns.emplace_back(
       "empties_and_missing",
-      std::vector<Cell>{"", "", "NULL", "na", "x", "", "?", "x", "-", ""});
+      twice({"", "", "NULL", "na", "x", "", "?", "x", "-", ""}));
   columns.emplace_back(
-      "utf8", std::vector<Cell>{"München", "naïve", "naïve", "日本語",
-                                "héllo wörld", "München", "ærøskøbing",
-                                "Zürich", "日本語", ""});
+      "utf8", twice({"München", "naïve", "naïve", "日本語", "héllo wörld",
+                     "München", "ærøskøbing", "Zürich", "日本語", ""}));
   {
     // Lengths 14..18 bracket the 16-byte vector width; repeated so the
     // dictionary path actually kicks in.
@@ -164,7 +195,8 @@ std::vector<Column> EdgeColumns() {
 }
 
 /// Columns of the parity sweep's datagen datasets: three Table-1 datasets,
-/// dirty side (the side detection featurizes).
+/// dirty side (the side detection featurizes). They hold columns on both
+/// sides of the dictionary cutoff.
 std::vector<Column> DatagenColumns() {
   std::vector<Column> columns;
   for (const char* name : {"beers", "flights", "hospital"}) {
@@ -178,56 +210,53 @@ std::vector<Column> DatagenColumns() {
   return columns;
 }
 
-// --- Whole-column parity: scalar vs dict vs SIMD -----------------------------
+/// Featurize equals the per-cell reference with the SIMD kernels off, and
+/// both stay unchanged with them on.
+void ExpectProductionMatchesReference(const Column& column) {
+  FeaturizeContext ctx(column);
+  SimdFlagGuard simd_off(false);
+  ml::Matrix reference = ctx.Reference(column);
+  EXPECT_TRUE(SameBytes(reference, ctx.Featurize(column)))
+      << column.name() << ": Featurize != reference";
+  if (kernels::SimdAvailable()) {
+    SimdFlagGuard simd_on(true);
+    EXPECT_TRUE(SameBytes(reference, ctx.Reference(column)))
+        << column.name() << ": simd reference != reference";
+    EXPECT_TRUE(SameBytes(reference, ctx.Featurize(column)))
+        << column.name() << ": simd Featurize != reference";
+  }
+}
+
+// --- Whole-column parity: production vs reference, SIMD on and off ---------
 
 TEST(FeaturizeDictParityTest, EdgeColumnsScalarDictSimdIdentical) {
   for (const auto& column : EdgeColumns()) {
+    ExpectProductionMatchesReference(column);
+    // The dictionary takes every edge column but the all-distinct one.
     FeaturizeContext ctx(column);
-    SimdFlagGuard simd_off(false);
-    ml::Matrix scalar = ctx.Featurize(column, FeaturizeMode::kScalar);
-    ml::Matrix dict = ctx.Featurize(column, FeaturizeMode::kDict);
-    EXPECT_TRUE(SameBytes(scalar, dict)) << column.name() << ": dict != scalar";
-    if (kernels::SimdAvailable()) {
-      SimdFlagGuard simd_on(true);
-      ml::Matrix scalar_simd = ctx.Featurize(column, FeaturizeMode::kScalar);
-      ml::Matrix dict_simd = ctx.Featurize(column, FeaturizeMode::kDict);
-      EXPECT_TRUE(SameBytes(scalar, scalar_simd))
-          << column.name() << ": simd scalar != scalar";
-      EXPECT_TRUE(SameBytes(scalar, dict_simd))
-          << column.name() << ": simd dict != scalar";
-    }
+    const FrozenColumnStats stats = Freeze(column);
+    FeatureArena arena;
+    auto view =
+        ctx.featurizer().FeaturizeFrozenView(stats, column.values(), &arena);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_EQ(view->codes.empty(), column.name() == "all_distinct")
+        << column.name();
   }
 }
 
 TEST(FeaturizeDictParityTest, DatagenColumnsScalarDictSimdIdentical) {
-  for (const auto& column : DatagenColumns()) {
-    FeaturizeContext ctx(column);
-    SimdFlagGuard simd_off(false);
-    ml::Matrix scalar = ctx.Featurize(column, FeaturizeMode::kScalar);
-    ml::Matrix dict = ctx.Featurize(column, FeaturizeMode::kDict);
-    EXPECT_TRUE(SameBytes(scalar, dict)) << column.name() << ": dict != scalar";
-    if (kernels::SimdAvailable()) {
-      SimdFlagGuard simd_on(true);
-      ml::Matrix dict_simd = ctx.Featurize(column, FeaturizeMode::kDict);
-      EXPECT_TRUE(SameBytes(scalar, dict_simd))
-          << column.name() << ": simd dict != scalar";
+  size_t dictionary_columns = 0;
+  const auto columns = DatagenColumns();
+  for (const auto& column : columns) {
+    ExpectProductionMatchesReference(column);
+    if (Freeze(column).profiler.profile().distinct_ratio <=
+        ColumnFeaturizer::kDictMaxDistinctRatio) {
+      ++dictionary_columns;
     }
   }
-}
-
-TEST(FeaturizeDictParityTest, AutoModeMatchesScalarAtAnyCutoff) {
-  for (const auto& column : EdgeColumns()) {
-    FeaturizeContext ctx(column);
-    ml::Matrix scalar = ctx.Featurize(column, FeaturizeMode::kScalar);
-    // Cutoff 0.0 forces scalar for every non-constant column, 1.0 forces
-    // dict everywhere; both ends (and the default middle) must agree.
-    for (double cutoff : {0.0, 0.5, 1.0}) {
-      ml::Matrix automatic =
-          ctx.Featurize(column, FeaturizeMode::kAuto, cutoff);
-      EXPECT_TRUE(SameBytes(scalar, automatic))
-          << column.name() << " cutoff=" << cutoff;
-    }
-  }
+  // Both sides of the cutoff are covered.
+  EXPECT_GT(dictionary_columns, 0u);
+  EXPECT_LT(dictionary_columns, columns.size());
 }
 
 // --- Block-size independence -------------------------------------------------
@@ -235,15 +264,14 @@ TEST(FeaturizeDictParityTest, AutoModeMatchesScalarAtAnyCutoff) {
 TEST(FeaturizeDictParityTest, BlockedFeaturizationIdenticalAtAnyBlockSize) {
   for (const auto& column : EdgeColumns()) {
     FeaturizeContext ctx(column);
-    ml::Matrix whole = ctx.Featurize(column, FeaturizeMode::kScalar);
+    ml::Matrix reference = ctx.Reference(column);
     for (size_t block_rows : {1u, 3u, 7u, 16u, 1000u}) {
-      for (FeaturizeMode mode :
-           {FeaturizeMode::kScalar, FeaturizeMode::kDict,
-            FeaturizeMode::kAuto}) {
-        ml::Matrix blocked = FeaturizeBlocked(ctx, column, mode, block_rows);
-        EXPECT_TRUE(SameBytes(whole, blocked))
-            << column.name() << " block_rows=" << block_rows << " mode="
-            << static_cast<int>(mode);
+      for (bool through_view : {false, true}) {
+        ml::Matrix blocked =
+            FeaturizeBlocked(ctx, column, block_rows, through_view);
+        EXPECT_TRUE(SameBytes(reference, blocked))
+            << column.name() << " block_rows=" << block_rows
+            << " view=" << through_view;
       }
     }
   }
@@ -254,12 +282,15 @@ TEST(FeaturizeDictParityTest, DatagenBlockedParityAcrossModes) {
   for (size_t j = 0; j < columns.size(); j += 3) {  // every 3rd: keep it quick
     const auto& column = columns[j];
     FeaturizeContext ctx(column);
-    ml::Matrix whole = ctx.Featurize(column, FeaturizeMode::kScalar);
+    ml::Matrix reference = ctx.Reference(column);
     for (size_t block_rows : {17u, 50u}) {
-      ml::Matrix blocked =
-          FeaturizeBlocked(ctx, column, FeaturizeMode::kDict, block_rows);
-      EXPECT_TRUE(SameBytes(whole, blocked))
-          << column.name() << " block_rows=" << block_rows;
+      for (bool through_view : {false, true}) {
+        ml::Matrix blocked =
+            FeaturizeBlocked(ctx, column, block_rows, through_view);
+        EXPECT_TRUE(SameBytes(reference, blocked))
+            << column.name() << " block_rows=" << block_rows
+            << " view=" << through_view;
+      }
     }
   }
 }
@@ -268,8 +299,8 @@ TEST(FeaturizeDictParityTest, DatagenBlockedParityAcrossModes) {
 
 TEST(FeaturizeDictParityTest, ParallelColumnsIdenticalAtAnyThreadCount) {
   // The streaming detector's layout: columns fan out across an executor,
-  // each with its own arena and output slot. Results must be byte-identical
-  // at every max_parallelism, dictionary path included.
+  // each with its own arena and output slot. Results must equal the
+  // per-cell reference at every max_parallelism.
   auto columns = DatagenColumns();
   ASSERT_FALSE(columns.empty());
   std::vector<FeaturizeContext> contexts;
@@ -279,32 +310,23 @@ TEST(FeaturizeDictParityTest, ParallelColumnsIdenticalAtAnyThreadCount) {
   auto run = [&](size_t threads) {
     std::vector<ml::Matrix> out(columns.size());
     std::vector<FeatureArena> arenas(columns.size());
-    FeaturizeOptions options;
-    options.mode = FeaturizeMode::kDict;
     Executor::Shared().ParallelFor(
         columns.size(),
         [&](size_t j) {
-          ColumnFeaturizer featurizer(&contexts[j].w2v, &contexts[j].space,
-                                      options);
-          ColumnStatsBuilder builder;
-          for (const auto& cell : columns[j].values()) builder.Observe(cell);
-          auto stats = builder.Finalize();
-          ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-          Status s = featurizer.FeaturizeFrozenInto(
-              *stats, std::span<const Cell>(columns[j].values()), &out[j],
-              &arenas[j]);
+          Status s = contexts[j].featurizer().FeaturizeFrozenInto(
+              Freeze(columns[j]), std::span<const Cell>(columns[j].values()),
+              &out[j], &arenas[j]);
           ASSERT_TRUE(s.ok()) << s.ToString();
         },
         threads);
     return out;
   };
 
-  auto sequential = run(1);
-  for (size_t threads : {2u, 4u, 0u}) {  // 0 = full pool
+  for (size_t threads : {1u, 2u, 4u, 0u}) {  // 0 = full pool
     auto parallel = run(threads);
-    ASSERT_EQ(parallel.size(), sequential.size());
-    for (size_t j = 0; j < sequential.size(); ++j) {
-      EXPECT_TRUE(SameBytes(sequential[j], parallel[j]))
+    ASSERT_EQ(parallel.size(), columns.size());
+    for (size_t j = 0; j < columns.size(); ++j) {
+      EXPECT_TRUE(SameBytes(contexts[j].Reference(columns[j]), parallel[j]))
           << columns[j].name() << " threads=" << threads;
     }
   }
@@ -317,7 +339,7 @@ TEST(FeaturizeDictParityTest, ParallelColumnsIdenticalAtAnyThreadCount) {
 /// the same feature width, so these models score any test column.
 core::KnowledgeBase FitOneModelPerType(const Column& column) {
   FeaturizeContext ctx(column);
-  ml::Matrix x = ctx.Featurize(column, FeaturizeMode::kScalar);
+  ml::Matrix x = ctx.Reference(column);
   std::vector<int> y(x.rows());
   for (size_t i = 0; i < y.size(); ++i) y[i] = i % 3 == 0 ? 1 : 0;
   core::KnowledgeBase kb;
@@ -357,11 +379,8 @@ TEST(FeaturizeDictParityTest, DictionarySpaceInferenceMatchesGathered) {
   }
   for (const auto& column : columns) {
     FeaturizeContext ctx(column);
-    ColumnStatsBuilder builder;
-    for (const auto& cell : column.values()) builder.Observe(cell);
-    auto stats = builder.Finalize();
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    ColumnFeaturizer featurizer(&ctx.w2v, &ctx.space);  // auto mode
+    const FrozenColumnStats stats = Freeze(column);
+    const ColumnFeaturizer featurizer = ctx.featurizer();
     const size_t n = column.size();
     for (size_t block_rows : {size_t{1}, size_t{7}, size_t{1000}, n}) {
       for (size_t threads : {1u, 2u, 4u}) {
@@ -377,10 +396,10 @@ TEST(FeaturizeDictParityTest, DictionarySpaceInferenceMatchesGathered) {
               std::span<const Cell> cells(&column.values()[start],
                                           std::min(block_rows, n - start));
               auto view =
-                  featurizer.FeaturizeFrozenView(*stats, cells, &view_arena);
+                  featurizer.FeaturizeFrozenView(stats, cells, &view_arena);
               ASSERT_TRUE(view.ok()) << view.status().ToString();
               if (column.name() == "all_distinct") {
-                EXPECT_TRUE(view->codes.empty());  // auto takes scalar
+                EXPECT_TRUE(view->codes.empty());  // above the cutoff
               }
               if (column.name() == "all_identical") {
                 EXPECT_EQ(view->rows->rows(), 1u);
@@ -389,7 +408,7 @@ TEST(FeaturizeDictParityTest, DictionarySpaceInferenceMatchesGathered) {
                   *view->rows, view->codes, kb, models, metadata_cols,
                   &from_view, start, &Executor::Shared(), threads);
               ASSERT_TRUE(s.ok()) << s.ToString();
-              s = featurizer.FeaturizeFrozenInto(*stats, cells, &gathered,
+              s = featurizer.FeaturizeFrozenInto(stats, cells, &gathered,
                                                  &gather_arena);
               ASSERT_TRUE(s.ok()) << s.ToString();
               s = core::BuildMetaFeaturesInto(gathered, kb, models,

@@ -528,6 +528,72 @@ TEST(ShardStoreTest, OtherStoreVersionRejected) {
   }
 }
 
+// An empty store's manifest whose char space is written field by field:
+// capacity, registered count, then the 256 byte slots.
+void WriteCharSpaceManifest(const std::string& dir, uint64_t capacity,
+                            uint64_t registered,
+                            const std::vector<int32_t>& slots) {
+  std::filesystem::create_directories(dir);
+  std::ofstream out(dir + "/" + kManifestFilename, std::ios::binary);
+  BinaryWriter writer(&out);
+  writer.WriteU32(kManifestMagic);
+  writer.WriteU32(kStoreVersion);
+  writer.WriteU64(capacity);
+  writer.WriteU64(registered);
+  for (int32_t slot : slots) writer.WriteI32(slot);
+  writer.WriteU64(0);  // entries (so no signature index)
+  writer.WriteU64(0);  // shard table
+}
+
+// The char-space capacity sizes every feature row (FeatureWidth), so a
+// manifest claiming 2^40 slots must fail to open instead of turning into
+// a huge allocation at the first detection. 257 (every byte value plus the
+// overflow slot) is the largest capacity Register can use.
+TEST(ShardStoreTest, HugeCharSpaceCapacityRejected) {
+  const std::vector<int32_t> unassigned(256, -1);
+  const std::string ok_dir = testing::TempDir() + "/kb_store_test_cap_257";
+  WriteCharSpaceManifest(ok_dir, features::CharSpace::kMaxCapacity, 0,
+                         unassigned);
+  auto opened = ShardStore::Open(ok_dir, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+
+  for (uint64_t capacity : {uint64_t{258}, uint64_t{1} << 40}) {
+    const std::string dir = testing::TempDir() + "/kb_store_test_cap_" +
+                            std::to_string(capacity);
+    WriteCharSpaceManifest(dir, capacity, 0, unassigned);
+    auto store = ShardStore::Open(dir, {});
+    ASSERT_FALSE(store.ok()) << capacity;
+    EXPECT_EQ(store.status().code(), StatusCode::kIoError) << capacity;
+  }
+}
+
+// Slot tables Register cannot produce: a slot below -1, a slot assigned to
+// two bytes, a slot past the registered count, and a registered count the
+// slots do not add up to.
+TEST(ShardStoreTest, CorruptCharSpaceSlotsRejected) {
+  struct Case {
+    const char* name;
+    uint64_t registered;
+    std::vector<std::pair<int, int32_t>> slots;  // (byte, slot)
+  };
+  const Case kCases[] = {
+      {"negative", 0, {{'a', -2}}},
+      {"duplicate", 2, {{'a', 0}, {'b', 0}}},
+      {"past_registered", 1, {{'a', 1}}},
+      {"count_mismatch", 2, {{'a', 0}}},
+  };
+  for (const Case& c : kCases) {
+    std::vector<int32_t> slots(256, -1);
+    for (const auto& [byte, slot] : c.slots) slots[byte] = slot;
+    const std::string dir =
+        testing::TempDir() + "/kb_store_test_slots_" + c.name;
+    WriteCharSpaceManifest(dir, 64, c.registered, slots);
+    auto store = ShardStore::Open(dir, {});
+    ASSERT_FALSE(store.ok()) << c.name;
+    EXPECT_EQ(store.status().code(), StatusCode::kIoError) << c.name;
+  }
+}
+
 // One entry's signature a column wider than the rest: the store must fail
 // to open with IoError instead of aborting when it packs the signatures.
 TEST(ShardStoreTest, MixedSignatureWidthsRejected) {

@@ -160,7 +160,8 @@ TEST(RobustnessTest, MlpSingleFeatureConstant) {
   opts.epochs = 10;
   ml::Mlp net(opts, 3);
   ASSERT_TRUE(net.Fit(x, y).ok());
-  for (double v : net.Predict(x).data()) EXPECT_TRUE(std::isfinite(v));
+  const ml::Matrix predictions = net.Predict(x);
+  for (double v : predictions.data()) EXPECT_TRUE(std::isfinite(v));
 }
 
 TEST(RobustnessTest, MetaClassifierAllDirtyLabels) {
