@@ -10,60 +10,37 @@
 
 namespace saged::core {
 
-const char* ModelTypeName(ModelType type) {
-  switch (type) {
-    case ModelType::kRandomForest:
-      return "random_forest";
-    case ModelType::kGradientBoosting:
-      return "gradient_boosting";
-    case ModelType::kLogisticRegression:
-      return "logistic_regression";
-    case ModelType::kMlp:
-      return "mlp";
+namespace {
+
+template <typename Enum, size_t N>
+const char* Spell(const EnumSpelling<Enum> (&spellings)[N], Enum value) {
+  for (const auto& spelling : spellings) {
+    if (spelling.value == value) return spelling.name;
   }
   return "?";
+}
+
+/// Widest Word2Vec embedding a config may ask for: the width sizes every
+/// vocabulary-by-dimension allocation, so an unbounded one could exhaust
+/// memory before training starts.
+constexpr size_t kMaxW2vDim = 1024;
+
+}  // namespace
+
+const char* ModelTypeName(ModelType type) {
+  return Spell(kModelTypeSpellings, type);
 }
 
 const char* SimilarityMethodName(SimilarityMethod method) {
-  switch (method) {
-    case SimilarityMethod::kCosine:
-      return "cosine";
-    case SimilarityMethod::kClustering:
-      return "clustering";
-    case SimilarityMethod::kIndexed:
-      return "indexed";
-  }
-  return "?";
+  return Spell(kSimilarityMethodSpellings, method);
 }
 
 const char* LabelingStrategyName(LabelingStrategy strategy) {
-  switch (strategy) {
-    case LabelingStrategy::kRandom:
-      return "random";
-    case LabelingStrategy::kHeuristic:
-      return "heuristic";
-    case LabelingStrategy::kClustering:
-      return "clustering";
-    case LabelingStrategy::kActiveLearning:
-      return "active_learning";
-  }
-  return "?";
+  return Spell(kLabelingStrategySpellings, strategy);
 }
 
 const char* AugmentationMethodName(AugmentationMethod method) {
-  switch (method) {
-    case AugmentationMethod::kNone:
-      return "none";
-    case AugmentationMethod::kRandom:
-      return "random";
-    case AugmentationMethod::kIterativeRefinement:
-      return "iterative_refinement";
-    case AugmentationMethod::kActiveLearning:
-      return "active_learning";
-    case AugmentationMethod::kKnnShapley:
-      return "knn_shapley";
-  }
-  return "?";
+  return Spell(kAugmentationMethodSpellings, method);
 }
 
 Status SagedConfig::Validate() const {
@@ -85,12 +62,6 @@ Status SagedConfig::Validate() const {
         "augmentation_fraction must be in [0, 1], got %g",
         augmentation_fraction));
   }
-  if (clustering_sample_cap == 0) {
-    return Status::InvalidArgument("clustering_sample_cap must be > 0");
-  }
-  if (base_model_sample_cap == 0) {
-    return Status::InvalidArgument("base_model_sample_cap must be > 0");
-  }
   if (char_slots == 0 || char_slots > features::CharSpace::kMaxCapacity) {
     return Status::InvalidArgument(
         StrFormat("char_slots must be in [1, %zu], got %zu",
@@ -98,6 +69,10 @@ Status SagedConfig::Validate() const {
   }
   if (w2v.dim == 0) {
     return Status::InvalidArgument("w2v.dim must be > 0");
+  }
+  if (w2v.dim > kMaxW2vDim) {
+    return Status::InvalidArgument(StrFormat(
+        "w2v.dim must be at most %zu, got %zu", kMaxW2vDim, w2v.dim));
   }
   return Status::OK();
 }
@@ -122,17 +97,11 @@ uint64_t ConfigContentHash(const SagedConfig& config) {
   u64(config.labeling_budget);
   u64(static_cast<uint64_t>(config.augmentation));
   f64(config.augmentation_fraction);
-  u64(config.clustering_sample_cap);
   u64(static_cast<uint64_t>(config.base_model));
   u64(static_cast<uint64_t>(config.meta_model));
   u64(config.meta_include_cell_metadata);
-  u64(config.base_model_sample_cap);
   u64(config.w2v.dim);
-  u64(config.w2v.window);
-  u64(config.w2v.negative);
   u64(config.w2v.epochs);
-  f64(config.w2v.learning_rate);
-  u64(config.w2v.min_count);
   u64(config.w2v.max_documents);
   u64(config.char_slots);
   u64(config.use_metadata_features);

@@ -47,6 +47,43 @@ enum class AugmentationMethod {
   kKnnShapley,
 };
 
+/// One enum value and its spelling: the value a flag names to select it,
+/// and what the *Name functions below return for it.
+template <typename Enum>
+struct EnumSpelling {
+  Enum value;
+  const char* name;
+};
+
+inline constexpr EnumSpelling<ModelType> kModelTypeSpellings[] = {
+    {ModelType::kRandomForest, "random_forest"},
+    {ModelType::kGradientBoosting, "gradient_boosting"},
+    {ModelType::kLogisticRegression, "logistic_regression"},
+    {ModelType::kMlp, "mlp"},
+};
+inline constexpr EnumSpelling<SimilarityMethod>
+    kSimilarityMethodSpellings[] = {
+        {SimilarityMethod::kCosine, "cosine"},
+        {SimilarityMethod::kClustering, "clustering"},
+        {SimilarityMethod::kIndexed, "indexed"},
+};
+inline constexpr EnumSpelling<LabelingStrategy>
+    kLabelingStrategySpellings[] = {
+        {LabelingStrategy::kRandom, "random"},
+        {LabelingStrategy::kHeuristic, "heuristic"},
+        {LabelingStrategy::kClustering, "clustering"},
+        {LabelingStrategy::kActiveLearning, "active_learning"},
+};
+inline constexpr EnumSpelling<AugmentationMethod>
+    kAugmentationMethodSpellings[] = {
+        {AugmentationMethod::kNone, "none"},
+        {AugmentationMethod::kRandom, "random"},
+        {AugmentationMethod::kIterativeRefinement, "iterative_refinement"},
+        {AugmentationMethod::kActiveLearning, "active_learning"},
+        {AugmentationMethod::kKnnShapley, "knn_shapley"},
+};
+
+/// The value's spelling from the tables above; "?" for a value outside them.
 const char* ModelTypeName(ModelType type);
 const char* SimilarityMethodName(SimilarityMethod method);
 const char* LabelingStrategyName(LabelingStrategy strategy);
@@ -93,9 +130,6 @@ struct SagedConfig {
   AugmentationMethod augmentation = AugmentationMethod::kNone;
   /// Fraction of meta-classifier predictions folded back as pseudo-labels.
   double augmentation_fraction = 0.2;
-  /// Row cap for the clustering-based sampler's dendrograms (agglomerative
-  /// clustering is quadratic; sampling preserves the strategy's behaviour).
-  size_t clustering_sample_cap = 300;
 
   // --- learners ---
   ModelType base_model = ModelType::kRandomForest;
@@ -104,9 +138,6 @@ struct SagedConfig {
   /// forming meta-features (the paper's "combination of the pre-trained
   /// models and the padded feature vectors").
   bool meta_include_cell_metadata = true;
-  /// Cell cap per base-model training set (historical columns can have
-  /// hundreds of thousands of cells; the classifiers saturate well before).
-  size_t base_model_sample_cap = 20000;
 
   // --- featurization ---
   text::Word2VecOptions w2v;

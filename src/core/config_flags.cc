@@ -1,7 +1,9 @@
 #include "core/config_flags.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/strings.h"
 
@@ -9,183 +11,221 @@ namespace saged::core {
 
 namespace {
 
-Result<uint64_t> ParseCount(const std::string& name,
-                            const std::string& value) {
+// One parser per field type, so a knob only has to name its field.
+
+Status ParseInto(const std::string& name, const std::string& value,
+                 uint64_t* out) {
+  // strtoull would skip leading whitespace and wrap a '-' sign around to
+  // 2^64 - n, so the first character must already be a digit.
   errno = 0;
   char* end = nullptr;
-  uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end == value.c_str() || *end != '\0') {
+  uint64_t parsed = 0;
+  if (!value.empty() && std::isdigit(static_cast<unsigned char>(value[0]))) {
+    parsed = std::strtoull(value.c_str(), &end, 10);
+  }
+  if (errno != 0 || end == nullptr || *end != '\0') {
     return Status::InvalidArgument(
         StrFormat("--%s expects a non-negative integer, got '%s'",
                   name.c_str(), value.c_str()));
   }
-  return parsed;
+  *out = parsed;
+  return Status::OK();
 }
 
-Result<double> ParseReal(const std::string& name, const std::string& value) {
+Status ParseInto(const std::string& name, const std::string& value,
+                 double* out) {
   auto parsed = ParseDouble(value);
   if (!parsed.has_value()) {
     return Status::InvalidArgument(StrFormat(
         "--%s expects a number, got '%s'", name.c_str(), value.c_str()));
   }
-  return *parsed;
+  *out = *parsed;
+  return Status::OK();
 }
 
-Result<bool> ParseBool(const std::string& name, const std::string& value) {
+Status ParseInto(const std::string& name, const std::string& value,
+                 bool* out) {
   std::string v = ToLower(value);
-  if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
-  if (v == "0" || v == "false" || v == "off" || v == "no") return false;
-  return Status::InvalidArgument(StrFormat(
-      "--%s expects on/off, got '%s'", name.c_str(), value.c_str()));
+  if (v == "1" || v == "true" || v == "on" || v == "yes") {
+    *out = true;
+  } else if (v == "0" || v == "false" || v == "off" || v == "no") {
+    *out = false;
+  } else {
+    return Status::InvalidArgument(StrFormat(
+        "--%s expects on/off, got '%s'", name.c_str(), value.c_str()));
+  }
+  return Status::OK();
 }
 
-Result<ModelType> ParseModelType(const std::string& name,
-                                 const std::string& value) {
-  for (ModelType type :
-       {ModelType::kRandomForest, ModelType::kGradientBoosting,
-        ModelType::kLogisticRegression, ModelType::kMlp}) {
-    if (value == ModelTypeName(type)) return type;
+/// Looks `value` up in an enum's spelling table (core/config.h); `noun`
+/// names what was not found in the error.
+template <typename Enum, size_t N>
+Status ParseEnum(const std::string& name, const std::string& value,
+                 const char* noun, const EnumSpelling<Enum> (&spellings)[N],
+                 Enum* out) {
+  for (const auto& spelling : spellings) {
+    if (value == spelling.name) {
+      *out = spelling.value;
+      return Status::OK();
+    }
   }
   return Status::InvalidArgument(StrFormat(
-      "--%s: unknown model type '%s'", name.c_str(), value.c_str()));
+      "--%s: unknown %s '%s'", name.c_str(), noun, value.c_str()));
+}
+
+Status ParseInto(const std::string& name, const std::string& value,
+                 SimilarityMethod* out) {
+  return ParseEnum(name, value, "method", kSimilarityMethodSpellings, out);
+}
+
+Status ParseInto(const std::string& name, const std::string& value,
+                 LabelingStrategy* out) {
+  return ParseEnum(name, value, "strategy", kLabelingStrategySpellings, out);
+}
+
+Status ParseInto(const std::string& name, const std::string& value,
+                 AugmentationMethod* out) {
+  return ParseEnum(name, value, "method", kAugmentationMethodSpellings, out);
+}
+
+Status ParseInto(const std::string& name, const std::string& value,
+                 ModelType* out) {
+  return ParseEnum(name, value, "model type", kModelTypeSpellings, out);
+}
+
+/// Parses `value` into the field of `target` that the member pointers
+/// reach: one pointer for a direct field, two for a nested one.
+template <auto First, auto... Rest, typename Target>
+Status Set(const std::string& name, const std::string& value,
+           Target* target) {
+  if constexpr (sizeof...(Rest) == 0) {
+    return ParseInto(name, value, &(target->*First));
+  } else {
+    return Set<Rest...>(name, value, &(target->*First));
+  }
+}
+
+/// A registered knob: its spelling, its help line and the field it sets
+/// on a `Target` (SagedConfig or DetectionOptions). A `presence` flag
+/// takes no value on a command line; an empty value means on.
+template <typename Target>
+struct Knob {
+  const char* name;
+  const char* help;
+  Status (*apply)(const std::string& name, const std::string& value,
+                  Target* target);
+  bool presence = false;
+};
+
+using C = SagedConfig;
+
+const Knob<SagedConfig> kConfigKnobs[] = {
+    {"budget", "oracle labeling budget in tuples", Set<&C::labeling_budget>},
+    {"seed", "RNG seed for every phase", Set<&C::seed>},
+    {"extract-threads",
+     "offline featurize+train parallelism (0 = hardware, 1 = sequential)",
+     Set<&C::extract_threads>},
+    {"detect-threads",
+     "online per-column parallelism (0 = hardware, 1 = sequential)",
+     Set<&C::detect_threads>},
+    {"similarity", "matcher: cosine | clustering | indexed",
+     Set<&C::similarity>},
+    {"cosine-threshold", "cosine matcher similarity cutoff in [0, 1]",
+     Set<&C::cosine_threshold>},
+    {"signature-clusters", "clustering matcher K-Means cluster count",
+     Set<&C::n_signature_clusters>},
+    {"max-models", "upper bound on matched base models per column",
+     Set<&C::max_models_per_column>},
+    {"index-probes",
+     "indexed matcher: signature-index buckets probed per query (0 = auto)",
+     Set<&C::index_probes>},
+    {"index-buckets",
+     "signature-index / shard bucket count when building a store (0 = auto)",
+     Set<&C::index_buckets>},
+    {"kb-cache-shards",
+     "lazily-loaded store: keep at most as many models resident as the N "
+     "largest shards hold (0 = unbounded)",
+     Set<&C::kb_cache_shards>},
+    {"labeling",
+     "tuple selection: random | heuristic | clustering | active_learning",
+     Set<&C::labeling>},
+    {"augmentation",
+     "label augmentation: none | random | iterative_refinement | "
+     "active_learning | knn_shapley",
+     Set<&C::augmentation>},
+    {"augmentation-fraction", "share of cells pseudo-labeled in [0, 1]",
+     Set<&C::augmentation_fraction>},
+    {"base-model", "base classifier family (random_forest | ...)",
+     Set<&C::base_model>},
+    {"meta-model", "meta classifier family (random_forest | ...)",
+     Set<&C::meta_model>},
+    {"char-slots", "TF-IDF slots in the shared char space",
+     Set<&C::char_slots>},
+    {"w2v-dim", "Word2Vec embedding width",
+     Set<&C::w2v, &text::Word2VecOptions::dim>},
+    {"w2v-epochs", "Word2Vec training epochs",
+     Set<&C::w2v, &text::Word2VecOptions::epochs>},
+    {"featurize-simd",
+     "SSE/NEON char-class kernels on/off (parity-tested, identical output)",
+     Set<&C::featurize_simd>},
+};
+
+const Knob<DetectionOptions> kDetectionKnobs[] = {
+    {"stream", "detect out-of-core from the CSV (two streaming passes)",
+     Set<&DetectionOptions::stream>, /*presence=*/true},
+    {"block-rows", "rows per streaming block (default 50000)",
+     Set<&DetectionOptions::block_rows>},
+    {"chunk-bytes", "raw CSV read-buffer bytes of the streaming path",
+     Set<&DetectionOptions::chunk_bytes>},
+};
+
+/// The entry of `flags` spelled `name`, or nullptr.
+template <typename Range>
+auto Find(const Range& flags, const std::string& name)
+    -> decltype(&*std::begin(flags)) {
+  for (const auto& flag : flags) {
+    if (name == flag.name) return &flag;
+  }
+  return nullptr;
+}
+
+/// The public {name, help} view of a knob table, built once and never
+/// destroyed.
+template <typename Target, size_t N>
+const std::vector<ConfigFlag>* NewRegistry(const Knob<Target> (&knobs)[N]) {
+  auto* flags = new std::vector<ConfigFlag>;
+  for (const auto& knob : knobs) flags->push_back({knob.name, knob.help});
+  return flags;
+}
+
+template <typename Target, size_t N>
+Status Apply(const Knob<Target> (&knobs)[N], const char* kind,
+             const std::string& name, const std::string& value,
+             Target* target) {
+  const auto* knob = Find(knobs, name);
+  if (knob == nullptr) {
+    return Status::NotFound(
+        StrFormat("unknown %s flag '%s'", kind, name.c_str()));
+  }
+  // Presence on a command line arrives as the empty string.
+  if (knob->presence && value.empty()) return knob->apply(name, "on", target);
+  return knob->apply(name, value, target);
 }
 
 }  // namespace
 
 const std::vector<ConfigFlag>& SagedConfigFlags() {
-  static const auto& flags = *new std::vector<ConfigFlag>{
-      {"budget", "oracle labeling budget in tuples"},
-      {"seed", "RNG seed for every phase"},
-      {"extract-threads",
-       "offline featurize+train parallelism (0 = hardware, 1 = sequential)"},
-      {"detect-threads",
-       "online per-column parallelism (0 = hardware, 1 = sequential)"},
-      {"similarity", "matcher: cosine | clustering | indexed"},
-      {"cosine-threshold", "cosine matcher similarity cutoff in [0, 1]"},
-      {"signature-clusters", "clustering matcher K-Means cluster count"},
-      {"max-models", "upper bound on matched base models per column"},
-      {"index-probes",
-       "indexed matcher: signature-index buckets probed per query (0 = auto)"},
-      {"index-buckets",
-       "signature-index / shard bucket count when building a store (0 = auto)"},
-      {"kb-cache-shards",
-       "lazily-loaded store: keep at most as many models resident as the N "
-       "largest shards hold (0 = unbounded)"},
-      {"labeling",
-       "tuple selection: random | heuristic | clustering | active_learning"},
-      {"augmentation",
-       "label augmentation: none | random | iterative_refinement | "
-       "active_learning | knn_shapley"},
-      {"augmentation-fraction", "share of cells pseudo-labeled in [0, 1]"},
-      {"base-model", "base classifier family (random_forest | ...)"},
-      {"meta-model", "meta classifier family (random_forest | ...)"},
-      {"char-slots", "TF-IDF slots in the shared char space"},
-      {"w2v-dim", "Word2Vec embedding width"},
-      {"w2v-epochs", "Word2Vec training epochs"},
-      {"featurize-simd",
-       "SSE/NEON char-class kernels on/off (parity-tested, identical output)"},
-  };
+  static const auto& flags = *NewRegistry(kConfigKnobs);
   return flags;
 }
 
 bool IsSagedConfigFlag(const std::string& name) {
-  for (const auto& flag : SagedConfigFlags()) {
-    if (name == flag.name) return true;
-  }
-  return false;
+  return Find(kConfigKnobs, name) != nullptr;
 }
 
 Status ApplySagedFlag(const std::string& name, const std::string& value,
                       SagedConfig* config) {
-  if (name == "budget") {
-    SAGED_ASSIGN_OR_RETURN(config->labeling_budget, ParseCount(name, value));
-  } else if (name == "seed") {
-    SAGED_ASSIGN_OR_RETURN(config->seed, ParseCount(name, value));
-  } else if (name == "extract-threads") {
-    SAGED_ASSIGN_OR_RETURN(config->extract_threads, ParseCount(name, value));
-  } else if (name == "detect-threads") {
-    SAGED_ASSIGN_OR_RETURN(config->detect_threads, ParseCount(name, value));
-  } else if (name == "similarity") {
-    bool found = false;
-    for (SimilarityMethod method :
-         {SimilarityMethod::kCosine, SimilarityMethod::kClustering,
-          SimilarityMethod::kIndexed}) {
-      if (value == SimilarityMethodName(method)) {
-        config->similarity = method;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::InvalidArgument(
-          StrFormat("--similarity: unknown method '%s'", value.c_str()));
-    }
-  } else if (name == "cosine-threshold") {
-    SAGED_ASSIGN_OR_RETURN(config->cosine_threshold, ParseReal(name, value));
-  } else if (name == "signature-clusters") {
-    SAGED_ASSIGN_OR_RETURN(config->n_signature_clusters,
-                           ParseCount(name, value));
-  } else if (name == "max-models") {
-    SAGED_ASSIGN_OR_RETURN(config->max_models_per_column,
-                           ParseCount(name, value));
-  } else if (name == "index-probes") {
-    SAGED_ASSIGN_OR_RETURN(config->index_probes, ParseCount(name, value));
-  } else if (name == "index-buckets") {
-    SAGED_ASSIGN_OR_RETURN(config->index_buckets, ParseCount(name, value));
-  } else if (name == "kb-cache-shards") {
-    SAGED_ASSIGN_OR_RETURN(config->kb_cache_shards, ParseCount(name, value));
-  } else if (name == "labeling") {
-    bool found = false;
-    for (LabelingStrategy strategy :
-         {LabelingStrategy::kRandom, LabelingStrategy::kHeuristic,
-          LabelingStrategy::kClustering, LabelingStrategy::kActiveLearning}) {
-      if (value == LabelingStrategyName(strategy)) {
-        config->labeling = strategy;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::InvalidArgument(
-          StrFormat("--labeling: unknown strategy '%s'", value.c_str()));
-    }
-  } else if (name == "augmentation") {
-    bool found = false;
-    for (AugmentationMethod method :
-         {AugmentationMethod::kNone, AugmentationMethod::kRandom,
-          AugmentationMethod::kIterativeRefinement,
-          AugmentationMethod::kActiveLearning,
-          AugmentationMethod::kKnnShapley}) {
-      if (value == AugmentationMethodName(method)) {
-        config->augmentation = method;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::InvalidArgument(
-          StrFormat("--augmentation: unknown method '%s'", value.c_str()));
-    }
-  } else if (name == "augmentation-fraction") {
-    SAGED_ASSIGN_OR_RETURN(config->augmentation_fraction,
-                           ParseReal(name, value));
-  } else if (name == "base-model") {
-    SAGED_ASSIGN_OR_RETURN(config->base_model, ParseModelType(name, value));
-  } else if (name == "meta-model") {
-    SAGED_ASSIGN_OR_RETURN(config->meta_model, ParseModelType(name, value));
-  } else if (name == "char-slots") {
-    SAGED_ASSIGN_OR_RETURN(config->char_slots, ParseCount(name, value));
-  } else if (name == "w2v-dim") {
-    SAGED_ASSIGN_OR_RETURN(config->w2v.dim, ParseCount(name, value));
-  } else if (name == "w2v-epochs") {
-    SAGED_ASSIGN_OR_RETURN(config->w2v.epochs, ParseCount(name, value));
-  } else if (name == "featurize-simd") {
-    SAGED_ASSIGN_OR_RETURN(config->featurize_simd, ParseBool(name, value));
-  } else {
-    return Status::NotFound(
-        StrFormat("unknown config flag '%s'", name.c_str()));
-  }
-  return Status::OK();
+  return Apply(kConfigKnobs, "config", name, value, config);
 }
 
 Status ApplySagedFlagList(const std::string& list, SagedConfig* config) {
@@ -205,46 +245,23 @@ Status ApplySagedFlagList(const std::string& list, SagedConfig* config) {
 }
 
 const std::vector<ConfigFlag>& SagedDetectionFlags() {
-  static const auto& flags = *new std::vector<ConfigFlag>{
-      {"stream", "detect out-of-core from the CSV (two streaming passes)"},
-      {"block-rows", "rows per streaming block (default 50000)"},
-      {"chunk-bytes", "raw CSV read-buffer bytes of the streaming path"},
-  };
+  static const auto& flags = *NewRegistry(kDetectionKnobs);
   return flags;
 }
 
 bool IsSagedDetectionFlag(const std::string& name) {
-  for (const auto& flag : SagedDetectionFlags()) {
-    if (name == flag.name) return true;
-  }
-  return false;
+  return Find(kDetectionKnobs, name) != nullptr;
 }
 
 bool IsSagedPresenceFlag(const std::string& name) {
-  // "warm" is saged_serve's pin-all-models switch — not a config knob, but
-  // the shared CLI parser needs to know it takes no value.
-  return name == "stream" || name == "warm";
+  const auto* knob = Find(kDetectionKnobs, name);
+  return knob != nullptr && knob->presence;
 }
 
 Status ApplySagedDetectionFlag(const std::string& name,
                                const std::string& value,
                                DetectionOptions* options) {
-  if (name == "stream") {
-    // Presence on a command line arrives as the empty string.
-    if (value.empty()) {
-      options->stream = true;
-    } else {
-      SAGED_ASSIGN_OR_RETURN(options->stream, ParseBool(name, value));
-    }
-  } else if (name == "block-rows") {
-    SAGED_ASSIGN_OR_RETURN(options->block_rows, ParseCount(name, value));
-  } else if (name == "chunk-bytes") {
-    SAGED_ASSIGN_OR_RETURN(options->chunk_bytes, ParseCount(name, value));
-  } else {
-    return Status::NotFound(
-        StrFormat("unknown detection flag '%s'", name.c_str()));
-  }
-  return Status::OK();
+  return Apply(kDetectionKnobs, "detection", name, value, options);
 }
 
 const std::vector<ConfigFlag>& SagedToolFlags() {
@@ -258,10 +275,7 @@ const std::vector<ConfigFlag>& SagedToolFlags() {
 }
 
 bool IsSagedToolFlag(const std::string& name) {
-  for (const auto& flag : SagedToolFlags()) {
-    if (name == flag.name) return true;
-  }
-  return false;
+  return Find(SagedToolFlags(), name) != nullptr;
 }
 
 }  // namespace saged::core

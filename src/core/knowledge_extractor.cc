@@ -20,6 +20,10 @@ namespace saged::core {
 
 namespace {
 
+/// Cell cap per base-model training set: historical columns can have
+/// hundreds of thousands of cells, and the classifiers saturate well before.
+constexpr size_t kBaseModelSampleCap = 20000;
+
 /// Derives the column-local RNG seed. Mixing the column index through an
 /// odd multiplier before folding it into the user seed keeps the streams
 /// distinct per column while staying independent of execution order — the
@@ -130,16 +134,16 @@ Status KnowledgeExtractor::AddDataset(const Table& data,
     // Cap the training set; keep every dirty cell (they are the rare class
     // that carries the error-pattern knowledge) and subsample the clean
     // ones.
-    if (features.rows() > config_.base_model_sample_cap) {
+    if (features.rows() > kBaseModelSampleCap) {
       std::vector<size_t> dirty_rows;
       std::vector<size_t> clean_rows;
       for (size_t r = 0; r < y.size(); ++r) {
         (y[r] ? dirty_rows : clean_rows).push_back(r);
       }
       size_t clean_target =
-          config_.base_model_sample_cap > dirty_rows.size()
-              ? config_.base_model_sample_cap - dirty_rows.size()
-              : config_.base_model_sample_cap / 2;
+          kBaseModelSampleCap > dirty_rows.size()
+              ? kBaseModelSampleCap - dirty_rows.size()
+              : kBaseModelSampleCap / 2;
       rng.Shuffle(clean_rows);
       clean_rows.resize(std::min(clean_rows.size(), clean_target));
       std::vector<size_t> keep = dirty_rows;

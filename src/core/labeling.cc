@@ -12,6 +12,12 @@
 
 namespace saged::core {
 
+namespace {
+/// Row cap for the clustering sampler's dendrograms: agglomerative
+/// clustering is quadratic, and sampling preserves the strategy's behaviour.
+constexpr size_t kClusteringSampleCap = 300;
+}  // namespace
+
 namespace internal {
 
 std::vector<size_t> SelectRandom(size_t n_rows, size_t budget, Rng& rng) {
@@ -136,7 +142,6 @@ std::vector<size_t> SelectActiveLearning(const SagedConfig& config,
   while (selected.size() < budget) {
     // Train a quick per-column classifier and measure certainty.
     double worst_certainty = 2.0;
-    size_t worst_col = 0;
     std::vector<double> worst_proba;
     for (size_t j = 0; j < n_cols; ++j) {
       bool has0 = std::find(y[j].begin(), y[j].end(), 0) != y[j].end();
@@ -158,7 +163,6 @@ std::vector<size_t> SelectActiveLearning(const SagedConfig& config,
       certainty /= static_cast<double>(n);
       if (certainty < worst_certainty) {
         worst_certainty = certainty;
-        worst_col = j;
         worst_proba = std::move(proba);
       }
     }
@@ -177,7 +181,6 @@ std::vector<size_t> SelectActiveLearning(const SagedConfig& config,
         found = true;
       }
     }
-    (void)worst_col;
     if (!found) break;
     taken.insert(pick);
     selected.push_back(pick);
@@ -203,8 +206,8 @@ std::vector<size_t> SelectTuples(const SagedConfig& config,
     case LabelingStrategy::kHeuristic:
       return internal::SelectHeuristic(meta, vote_cols, budget, rng);
     case LabelingStrategy::kClustering:
-      return internal::SelectClustering(meta, budget,
-                                        config.clustering_sample_cap, rng);
+      return internal::SelectClustering(meta, budget, kClusteringSampleCap,
+                                        rng);
     case LabelingStrategy::kActiveLearning:
       return internal::SelectActiveLearning(config, meta, budget, oracle, rng);
   }

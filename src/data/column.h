@@ -42,7 +42,6 @@ class Column {
   const Cell& operator[](size_t i) const { return values_[i]; }
   Cell& operator[](size_t i) { return values_[i]; }
   const std::vector<Cell>& values() const { return values_; }
-  std::vector<Cell>& mutable_values() { return values_; }
 
   void Append(Cell value) { values_.push_back(std::move(value)); }
 

@@ -9,12 +9,14 @@ namespace saged {
 
 namespace {
 
+constexpr char kDelimiter = ',';
+
 /// Splits one CSV record honoring quotes. `pos` advances past the record
 /// (including the newline). Returns false at end of input. `*saw_newline`
 /// (optional) reports whether the record ended at a newline terminator, as
 /// opposed to running off the end of `text` — the streaming reader uses the
 /// distinction to defer records that may continue in the next file chunk.
-bool NextRecordIn(const std::string& text, size_t& pos, char delim,
+bool NextRecordIn(const std::string& text, size_t& pos,
                   std::vector<std::string>& fields,
                   bool* saw_newline = nullptr) {
   fields.clear();
@@ -40,7 +42,7 @@ bool NextRecordIn(const std::string& text, size_t& pos, char delim,
     } else if (c == '"' && field.empty()) {
       in_quotes = true;
       ++pos;
-    } else if (c == delim) {
+    } else if (c == kDelimiter) {
       fields.push_back(std::move(field));
       field.clear();
       ++pos;
@@ -60,15 +62,15 @@ bool NextRecordIn(const std::string& text, size_t& pos, char delim,
   return true;
 }
 
-bool NeedsQuoting(const std::string& field, char delim) {
-  return field.find(delim) != std::string::npos ||
+bool NeedsQuoting(const std::string& field) {
+  return field.find(kDelimiter) != std::string::npos ||
          field.find('"') != std::string::npos ||
          field.find('\n') != std::string::npos ||
          field.find('\r') != std::string::npos;
 }
 
-void AppendField(std::string& out, const std::string& field, char delim) {
-  if (!NeedsQuoting(field, delim)) {
+void AppendField(std::string& out, const std::string& field) {
+  if (!NeedsQuoting(field)) {
     out += field;
     return;
   }
@@ -82,26 +84,21 @@ void AppendField(std::string& out, const std::string& field, char delim) {
 
 }  // namespace
 
-Result<Table> ParseCsv(const std::string& text, const CsvOptions& options) {
+Result<Table> ParseCsv(const std::string& text) {
   Table table;
   std::vector<std::vector<Cell>> columns;
   std::vector<std::string> names;
   std::vector<std::string> fields;
   size_t pos = 0;
   size_t record_no = 0;
-  while (NextRecordIn(text, pos, options.delimiter, fields)) {
+  while (NextRecordIn(text, pos, fields)) {
     // Skip a trailing blank line.
     if (fields.size() == 1 && fields[0].empty() && pos >= text.size()) break;
     if (record_no == 0) {
-      size_t n = fields.size();
-      columns.resize(n);
-      if (options.has_header) {
-        names = fields;
-        ++record_no;
-        continue;
-      }
-      names.resize(n);
-      for (size_t j = 0; j < n; ++j) names[j] = StrFormat("col%zu", j);
+      columns.resize(fields.size());
+      names = fields;
+      ++record_no;
+      continue;
     }
     if (fields.size() != columns.size()) {
       return Status::IoError(
@@ -119,40 +116,37 @@ Result<Table> ParseCsv(const std::string& text, const CsvOptions& options) {
   return table;
 }
 
-Result<Table> ReadCsv(const std::string& path, const CsvOptions& options) {
+Result<Table> ReadCsv(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open '" + path + "'");
   std::ostringstream buf;
   buf << in.rdbuf();
-  auto result = ParseCsv(buf.str(), options);
+  auto result = ParseCsv(buf.str());
   if (result.ok()) result->set_name(path);
   return result;
 }
 
-std::string FormatCsv(const Table& table, const CsvOptions& options) {
+std::string FormatCsv(const Table& table) {
   std::string out;
-  if (options.has_header) {
-    for (size_t j = 0; j < table.NumCols(); ++j) {
-      if (j) out += options.delimiter;
-      AppendField(out, table.column(j).name(), options.delimiter);
-    }
-    out += '\n';
+  for (size_t j = 0; j < table.NumCols(); ++j) {
+    if (j) out += kDelimiter;
+    AppendField(out, table.column(j).name());
   }
+  out += '\n';
   for (size_t r = 0; r < table.NumRows(); ++r) {
     for (size_t j = 0; j < table.NumCols(); ++j) {
-      if (j) out += options.delimiter;
-      AppendField(out, table.cell(r, j), options.delimiter);
+      if (j) out += kDelimiter;
+      AppendField(out, table.cell(r, j));
     }
     out += '\n';
   }
   return out;
 }
 
-Status WriteCsv(const Table& table, const std::string& path,
-                const CsvOptions& options) {
+Status WriteCsv(const Table& table, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open '" + path + "' for writing");
-  out << FormatCsv(table, options);
+  out << FormatCsv(table);
   if (!out) return Status::IoError("write to '" + path + "' failed");
   return Status::OK();
 }
@@ -162,10 +156,9 @@ Status WriteCsv(const Table& table, const std::string& path,
 // ---------------------------------------------------------------------------
 
 CsvBlockReader::CsvBlockReader(std::string path, size_t block_rows,
-                               CsvOptions options, size_t chunk_bytes)
+                               CsvOptions, size_t chunk_bytes)
     : path_(std::move(path)),
       block_rows_(block_rows == 0 ? 1 : block_rows),
-      options_(options),
       chunk_bytes_(chunk_bytes == 0 ? 1 : chunk_bytes) {}
 
 Status CsvBlockReader::FetchMore() {
@@ -192,8 +185,7 @@ Result<bool> CsvBlockReader::NextRecord(std::vector<std::string>* fields) {
     if (pos_ < buf_.size()) {
       size_t probe = pos_;
       bool saw_newline = false;
-      bool got = NextRecordIn(buf_, probe, options_.delimiter, *fields,
-                              &saw_newline);
+      bool got = NextRecordIn(buf_, probe, *fields, &saw_newline);
       // A record is only trusted when its terminator cannot move with more
       // data: a newline with bytes after it, or anything once the file is
       // exhausted. A newline at the buffer's very edge is re-scanned after
@@ -220,18 +212,11 @@ Status CsvBlockReader::Open() {
   in_.open(path_, std::ios::binary);
   if (!in_) return Status::IoError("cannot open '" + path_ + "'");
 
-  std::vector<std::string> first;
-  SAGED_ASSIGN_OR_RETURN(bool got, NextRecord(&first));
+  std::vector<std::string> header;
+  SAGED_ASSIGN_OR_RETURN(bool got, NextRecord(&header));
   if (!got) return Status::OK();  // empty file: zero columns, zero rows
-  if (options_.has_header) {
-    names_ = std::move(first);
-    record_no_ = 1;
-  } else {
-    names_.resize(first.size());
-    for (size_t j = 0; j < first.size(); ++j) names_[j] = StrFormat("col%zu", j);
-    stashed_record_ = std::move(first);
-    has_stashed_ = true;
-  }
+  names_ = std::move(header);
+  record_no_ = 1;
   return Status::OK();
 }
 
@@ -244,13 +229,8 @@ Result<bool> CsvBlockReader::Next(CsvBlock* block) {
 
   std::vector<std::string> fields;
   while (block->rows() < block_rows_) {
-    if (has_stashed_) {
-      fields = std::move(stashed_record_);
-      has_stashed_ = false;
-    } else {
-      SAGED_ASSIGN_OR_RETURN(bool got, NextRecord(&fields));
-      if (!got) break;
-    }
+    SAGED_ASSIGN_OR_RETURN(bool got, NextRecord(&fields));
+    if (!got) break;
     if (fields.size() != names_.size()) {
       return Status::IoError(
           StrFormat("record %zu has %zu fields, expected %zu", record_no_,

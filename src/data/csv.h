@@ -10,24 +10,25 @@
 
 namespace saged {
 
-/// RFC-4180-style CSV options.
-struct CsvOptions {
-  char delimiter = ',';
-  bool has_header = true;
-};
+// One CSV dialect throughout: RFC-4180 style, comma-separated, and the first
+// record names the columns.
 
-/// Reads `path` into a Table (first line = column names when has_header).
-Result<Table> ReadCsv(const std::string& path, const CsvOptions& options = {});
+/// Reads `path` into a Table.
+Result<Table> ReadCsv(const std::string& path);
 
 /// Parses CSV text held in memory.
-Result<Table> ParseCsv(const std::string& text, const CsvOptions& options = {});
+Result<Table> ParseCsv(const std::string& text);
 
 /// Writes `table` to `path` with quoting where needed.
-Status WriteCsv(const Table& table, const std::string& path,
-                const CsvOptions& options = {});
+Status WriteCsv(const Table& table, const std::string& path);
 
 /// Serializes `table` as CSV text.
-std::string FormatCsv(const Table& table, const CsvOptions& options = {});
+std::string FormatCsv(const Table& table);
+
+/// Placeholder third argument of CsvBlockReader's constructor. The dialect
+/// is fixed, so it carries nothing; it remains only because
+/// perfbench/src/replay.cc passes `{}` in that position.
+struct CsvOptions {};
 
 /// One decoded block of a streaming CSV read: column-major cell storage for
 /// up to `block_rows` consecutive data rows, plus the global (0-based,
@@ -62,12 +63,9 @@ class CsvBlockReader {
   /// records across chunk boundaries. A record longer than one chunk still
   /// parses (the buffer grows to hold it), it just re-scans on refill.
   explicit CsvBlockReader(std::string path, size_t block_rows = 50000,
-                          CsvOptions options = {},
-                          size_t chunk_bytes = 1 << 20);
+                          CsvOptions = {}, size_t chunk_bytes = 1 << 20);
 
-  /// Opens the file and reads the header (or, without a header, peeks the
-  /// first record to fix the column count and synthesizes col0..colN names;
-  /// that record is still returned as data by the first Next).
+  /// Opens the file and reads the header.
   Status Open();
 
   /// Column names, valid after Open. Empty for an empty file.
@@ -95,7 +93,6 @@ class CsvBlockReader {
 
   std::string path_;
   size_t block_rows_;
-  CsvOptions options_;
   size_t chunk_bytes_;
 
   std::ifstream in_;
@@ -105,9 +102,6 @@ class CsvBlockReader {
   bool opened_ = false;
 
   std::vector<std::string> names_;
-  /// The peeked first record of a header-less file, returned by Next first.
-  std::vector<std::string> stashed_record_;
-  bool has_stashed_ = false;
   /// Record index in ParseCsv numbering (the header counts as record 0), so
   /// ragged-row errors match the in-memory parser verbatim.
   size_t record_no_ = 0;

@@ -26,7 +26,6 @@ class Table {
   Status AddColumn(Column column);
 
   const Column& column(size_t j) const { return columns_[j]; }
-  Column& mutable_column(size_t j) { return columns_[j]; }
   const std::vector<Column>& columns() const { return columns_; }
 
   /// Index of the column named `name`, or an error.

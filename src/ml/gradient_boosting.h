@@ -31,8 +31,6 @@ class GradientBoostingClassifier : public BinaryClassifier {
   Status Fit(const Matrix& x, const std::vector<int>& y) override;
   std::vector<double> PredictProba(const Matrix& x) const override;
 
-  size_t NumRounds() const { return trees_.size(); }
-
   /// Persists / restores the fitted ensemble (learning rate included, since
   /// it scales every stored leaf at prediction time).
   void Save(BinaryWriter* writer) const;

@@ -37,8 +37,6 @@ class RandomForestClassifier : public BinaryClassifier {
   /// Mean impurity-decrease importances (normalized to sum 1).
   std::vector<double> FeatureImportances() const;
 
-  size_t NumTrees() const { return trees_.size(); }
-
   /// Persists / restores the fitted forest.
   void Save(BinaryWriter* writer) const;
   Status Load(BinaryReader* reader);

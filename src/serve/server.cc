@@ -245,7 +245,6 @@ void SagedServer::AcceptClients() {
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
-    conn->decoder = FrameDecoder(options_.max_frame_bytes);
     connections_[conn->id] = conn;
     SAGED_COUNTER_INC("serve.connections");
   }

@@ -52,8 +52,6 @@ struct ServerOptions {
   /// Detection requests running concurrently. Detection is internally
   /// parallel, so 1 is the throughput-optimal default on small hosts.
   size_t max_inflight = 1;
-  /// Per-frame payload ceiling for incoming frames.
-  size_t max_frame_bytes = kMaxFrameBytes;
   /// Outbound stall ceiling per send(2) call (SO_SNDTIMEO on accepted
   /// connections). Frames written from the I/O thread (pong, typed errors,
   /// shutdown acks) otherwise block the poll loop — and with it every

@@ -11,6 +11,12 @@ namespace saged::text {
 
 namespace {
 constexpr size_t kUnigramTableSize = 1 << 16;
+/// Largest context radius; each center word draws its radius from [1, 3].
+constexpr size_t kWindow = 3;
+/// Negative samples per (center, context) pair.
+constexpr size_t kNegative = 4;
+/// Initial SGD step, decayed linearly per epoch down to a tenth of itself.
+constexpr double kLearningRate = 0.05;
 
 double Sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 }  // namespace
@@ -38,10 +44,8 @@ Status Word2Vec::Train(const std::vector<std::vector<std::string>>& documents) {
   vocab_.clear();
   std::vector<size_t> freq;
   for (const auto& [word, count] : counts) {
-    if (count >= options_.min_count) {
-      vocab_.emplace(word, vocab_.size());
-      freq.push_back(count);
-    }
+    vocab_.emplace(word, vocab_.size());
+    freq.push_back(count);
   }
   if (vocab_.empty()) return Status::OK();  // nothing to train; Embed -> zeros
 
@@ -88,13 +92,13 @@ Status Word2Vec::Train(const std::vector<std::vector<std::string>>& documents) {
 
   std::vector<double> grad(d);
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    double lr = options_.learning_rate *
+    double lr = kLearningRate *
                 (1.0 - static_cast<double>(epoch) /
                            static_cast<double>(options_.epochs));
-    lr = std::max(lr, options_.learning_rate * 0.1);
+    lr = std::max(lr, kLearningRate * 0.1);
     for (const auto& ids : encoded) {
       for (size_t center = 0; center < ids.size(); ++center) {
-        size_t win = 1 + static_cast<size_t>(rng.UniformInt(options_.window));
+        size_t win = 1 + static_cast<size_t>(rng.UniformInt(kWindow));
         size_t lo = center >= win ? center - win : 0;
         size_t hi = std::min(center + win, ids.size() - 1);
         for (size_t ctx = lo; ctx <= hi; ++ctx) {
@@ -102,7 +106,7 @@ Status Word2Vec::Train(const std::vector<std::vector<std::string>>& documents) {
           double* v_in = &in_vectors_[ids[center] * d];
           std::fill(grad.begin(), grad.end(), 0.0);
           // Positive sample + negatives.
-          for (size_t s = 0; s <= options_.negative; ++s) {
+          for (size_t s = 0; s <= kNegative; ++s) {
             size_t target;
             double label;
             if (s == 0) {

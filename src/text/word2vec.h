@@ -14,14 +14,12 @@
 
 namespace saged::text {
 
-/// Skip-gram training hyperparameters.
+/// Skip-gram training hyperparameters. The context window (3), negative
+/// samples per pair (4) and initial learning rate (0.05) are fixed in
+/// word2vec.cc, and every token of the corpus joins the vocabulary.
 struct Word2VecOptions {
   size_t dim = 8;
-  size_t window = 3;
-  size_t negative = 4;
   size_t epochs = 3;
-  double learning_rate = 0.05;
-  size_t min_count = 1;
   /// Documents are subsampled down to this many before training; embedding
   /// quality saturates quickly on tabular corpora and this keeps SAGED's
   /// detection time flat in dataset size (matching the paper's efficiency
@@ -42,9 +40,6 @@ class Word2Vec {
 
   size_t dim() const { return options_.dim; }
   size_t VocabSize() const { return vocab_.size(); }
-  bool Contains(const std::string& word) const {
-    return vocab_.count(word) > 0;
-  }
 
   /// Embedding of one word (zeros when out of vocabulary or untrained).
   std::vector<double> Embed(const std::string& word) const;

@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/config_flags.h"
@@ -147,6 +150,19 @@ TEST(ConfigValidation, RejectsCharSlotsBeyondByteRange) {
       << status.ToString();
 }
 
+// The embedding width sizes vocabulary-by-dimension allocations, so an
+// absurd one must fail validation instead of exhausting memory.
+TEST(ConfigValidation, RejectsOversizedW2vDim) {
+  SagedConfig config;
+  config.w2v.dim = 1024;
+  EXPECT_TRUE(config.Validate().ok());
+  config.w2v.dim = 1025;
+  auto status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("w2v.dim"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(ConfigValidation, ExtractionRejectsInvalidConfig) {
   SagedConfig config = FastConfig();
   config.labeling_budget = 0;
@@ -167,6 +183,11 @@ TEST(ConfigFlags, RegistryAppliesKnownFlags) {
   EXPECT_EQ(config.extract_threads, 2u);
   ASSERT_TRUE(ApplySagedFlag("featurize-simd", "off", &config).ok());
   EXPECT_FALSE(config.featurize_simd);
+  // The core registry names only core knobs: saged_serve's --warm is the
+  // tool's own presence flag.
+  EXPECT_TRUE(IsSagedPresenceFlag("stream"));
+  EXPECT_FALSE(IsSagedPresenceFlag("warm"));
+  EXPECT_FALSE(IsSagedPresenceFlag("budget"));
 }
 
 TEST(ConfigFlags, UnknownFlagIsNotFound) {
@@ -181,6 +202,94 @@ TEST(ConfigFlags, UnparseableValueIsInvalidArgument) {
   auto status = ApplySagedFlag("budget", "lots", &config);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+// strtoull accepts a sign and leading whitespace, and wraps "-1" around to
+// 2^64 - 1; a count flag must refuse all of them and name itself.
+TEST(ConfigFlags, NegativeCountIsInvalidArgument) {
+  for (const char* value : {"-1", "+5", " 5", "-0", ""}) {
+    SagedConfig config;
+    auto status = ApplySagedFlag("w2v-dim", value, &config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "'" << value
+                                                           << "'";
+    EXPECT_NE(status.ToString().find("--w2v-dim"), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(config.w2v.dim, SagedConfig{}.w2v.dim);
+  }
+  SagedConfig config;
+  EXPECT_EQ(ApplySagedFlag("budget", "-1", &config).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ApplySagedFlag("seed", "99999999999999999999", &config).code(),
+            StatusCode::kInvalidArgument);
+  DetectionOptions options;
+  auto status = ApplySagedDetectionFlag("block-rows", "-1", &options);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("--block-rows"), std::string::npos)
+      << status.ToString();
+}
+
+// Every registered knob must reach the config: applying a non-default value
+// moves ConfigContentHash (config flags) or DetectionOptions (detection
+// flags). The value maps must name exactly the registered flags, so a new
+// flag without a setter, or a setter that writes nothing, fails here.
+TEST(ConfigFlags, EveryRegisteredFlagMovesTheConfigHash) {
+  const std::map<std::string, std::string> config_values = {
+      {"budget", "33"},
+      {"seed", "7"},
+      {"extract-threads", "3"},
+      {"detect-threads", "3"},
+      {"similarity", "indexed"},
+      {"cosine-threshold", "0.5"},
+      {"signature-clusters", "5"},
+      {"max-models", "3"},
+      {"index-probes", "2"},
+      {"index-buckets", "9"},
+      {"kb-cache-shards", "4"},
+      {"labeling", "active_learning"},
+      {"augmentation", "knn_shapley"},
+      {"augmentation-fraction", "0.5"},
+      {"base-model", "mlp"},
+      {"meta-model", "gradient_boosting"},
+      {"char-slots", "32"},
+      {"w2v-dim", "12"},
+      {"w2v-epochs", "5"},
+      {"featurize-simd", "off"},
+  };
+  std::set<std::string> registered;
+  for (const auto& flag : SagedConfigFlags()) registered.insert(flag.name);
+  std::set<std::string> mapped;
+  for (const auto& [name, value] : config_values) mapped.insert(name);
+  EXPECT_EQ(registered, mapped);
+
+  const uint64_t default_hash = ConfigContentHash(SagedConfig{});
+  for (const auto& [name, value] : config_values) {
+    SagedConfig config;
+    auto status = ApplySagedFlag(name, value, &config);
+    ASSERT_TRUE(status.ok()) << name << ": " << status.ToString();
+    EXPECT_NE(ConfigContentHash(config), default_hash) << name;
+    EXPECT_TRUE(config.Validate().ok()) << name;
+  }
+
+  const std::map<std::string, std::string> detection_values = {
+      {"stream", "on"},
+      {"block-rows", "77"},
+      {"chunk-bytes", "4096"},
+  };
+  registered.clear();
+  for (const auto& flag : SagedDetectionFlags()) registered.insert(flag.name);
+  mapped.clear();
+  for (const auto& [name, value] : detection_values) mapped.insert(name);
+  EXPECT_EQ(registered, mapped);
+
+  auto fields = [](const DetectionOptions& o) {
+    return std::make_tuple(o.stream, o.block_rows, o.chunk_bytes);
+  };
+  for (const auto& [name, value] : detection_values) {
+    DetectionOptions options;
+    auto status = ApplySagedDetectionFlag(name, value, &options);
+    ASSERT_TRUE(status.ok()) << name << ": " << status.ToString();
+    EXPECT_NE(fields(options), fields(DetectionOptions{})) << name;
+  }
 }
 
 TEST(ConfigFlags, ListAppliesEveryEntry) {

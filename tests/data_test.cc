@@ -262,15 +262,6 @@ TEST(CsvTest, RejectsRaggedRows) {
   EXPECT_FALSE(ParseCsv("a,b\n1\n").ok());
 }
 
-TEST(CsvTest, NoHeader) {
-  CsvOptions opts;
-  opts.has_header = false;
-  auto t = ParseCsv("1,2\n3,4\n", opts);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t->NumRows(), 2u);
-  EXPECT_EQ(t->column(0).name(), "col0");
-}
-
 TEST(CsvTest, RoundTrip) {
   Table t("rt");
   ASSERT_TRUE(t.AddColumn(Column("a", {"1", "two, three"})).ok());

@@ -25,12 +25,13 @@ std::vector<Finding> ByRule(const LintResult& result, const std::string& rule) {
 
 TEST(LintTest, RuleNamesCoverTheCatalogue) {
   const auto& rules = RuleNames();
-  EXPECT_EQ(rules.size(), 11u);
+  EXPECT_EQ(rules.size(), 12u);
   for (const char* expected :
        {"no-raw-random", "no-adhoc-thread", "no-unchecked-result",
         "no-iostream-in-core", "include-hygiene", "no-untimed-stage",
         "lock-discipline", "executor-capture-lifetime",
-        "no-blocking-in-io-loop", "no-unverified-simd", "bad-suppression"}) {
+        "no-blocking-in-io-loop", "no-unverified-simd",
+        "config-hash-complete", "bad-suppression"}) {
     EXPECT_NE(std::find(rules.begin(), rules.end(), expected), rules.end())
         << expected;
   }
@@ -867,6 +868,7 @@ TEST(LintTest, SarifGoldenEnvelope) {
       "            {\"id\": \"executor-capture-lifetime\"},\n"
       "            {\"id\": \"no-blocking-in-io-loop\"},\n"
       "            {\"id\": \"no-unverified-simd\"},\n"
+      "            {\"id\": \"config-hash-complete\"},\n"
       "            {\"id\": \"bad-suppression\"}\n"
       "          ]\n"
       "        }\n"
@@ -994,6 +996,77 @@ TEST(LintTest, UnverifiedSimdSuppressed) {
         "int SumLanesSimd(int x) { return x; }\n"
         "}  // namespace saged::ml\n"}});
   EXPECT_TRUE(ByRule(r, "no-unverified-simd").empty());
+  EXPECT_EQ(r.suppressed, 1u);
+}
+
+// --- config-hash-complete ---------------------------------------------------
+
+/// A miniature config: SagedConfig nests Word2VecOptions, and config.cc
+/// hashes `hashed` of each. `extra_config` / `extra_w2v` add members.
+std::vector<SourceFile> ConfigFixture(const std::string& extra_config,
+                                      const std::string& extra_w2v) {
+  return {
+      {"src/text/word2vec.h",
+       "#ifndef SAGED_TEXT_WORD2VEC_H_\n#define SAGED_TEXT_WORD2VEC_H_\n"
+       "namespace saged::text {\n"
+       "struct Word2VecOptions {\n"
+       "  size_t dim = 8;\n" +
+           extra_w2v +
+           "};\n"
+           "}  // namespace saged::text\n"
+           "#endif  // SAGED_TEXT_WORD2VEC_H_\n"},
+      {"src/core/config.h",
+       "#ifndef SAGED_CORE_CONFIG_H_\n#define SAGED_CORE_CONFIG_H_\n"
+       "#include \"text/word2vec.h\"\n"
+       "namespace saged::core {\n"
+       "struct SagedConfig {\n"
+       "  enum class Mode { kA, kB };\n"
+       "  static constexpr size_t kMax = 3;\n"
+       "  double threshold{0.5};\n"
+       "  text::Word2VecOptions w2v;\n"
+       "  size_t Twice() const { return kMax * 2; }\n"
+       "  [[nodiscard]] bool Validate() const;\n" +
+           extra_config +
+           "};\n"
+           "uint64_t ConfigContentHash(const SagedConfig& config);\n"
+           "}  // namespace saged::core\n"
+           "#endif  // SAGED_CORE_CONFIG_H_\n"},
+      {"src/core/config.cc",
+       "#include \"core/config.h\"\n"
+       "namespace saged::core {\n"
+       "uint64_t ConfigContentHash(const SagedConfig& config) {\n"
+       "  return Mix(config.threshold, config.w2v.dim);\n"
+       "}\n"
+       "}  // namespace saged::core\n"},
+  };
+}
+
+TEST(LintTest, ConfigHashCoveringEveryMemberIsClean) {
+  LintResult r = RunLint(ConfigFixture("", ""));
+  EXPECT_TRUE(r.findings.empty()) << FormatGcc(r);
+}
+
+TEST(LintTest, ConfigMemberMissingFromHashFlagged) {
+  LintResult r = RunLint(
+      ConfigFixture("  size_t forgotten = 300;\n", "  size_t window = 3;\n"));
+  auto hits = ByRule(r, "config-hash-complete");
+  ASSERT_EQ(hits.size(), 2u) << FormatGcc(r);
+  EXPECT_EQ(hits[0].path, "src/core/config.h");
+  EXPECT_EQ(hits[0].line, 12u);
+  EXPECT_NE(hits[0].message.find("SagedConfig::forgotten"), std::string::npos)
+      << hits[0].message;
+  EXPECT_EQ(hits[1].path, "src/text/word2vec.h");
+  EXPECT_EQ(hits[1].line, 6u);
+  EXPECT_NE(hits[1].message.find("Word2VecOptions::window"), std::string::npos)
+      << hits[1].message;
+}
+
+TEST(LintTest, ConfigMemberMissingFromHashSuppressed) {
+  LintResult r = RunLint(ConfigFixture(
+      "  size_t scratch = 0;  // saged-lint: allow(config-hash-complete): "
+      "never read\n",
+      ""));
+  EXPECT_TRUE(ByRule(r, "config-hash-complete").empty());
   EXPECT_EQ(r.suppressed, 1u);
 }
 

@@ -5,43 +5,11 @@
 
 #include "common/rng.h"
 #include "ml/gaussian_mixture.h"
-#include "ml/knn.h"
 #include "ml/knn_shapley.h"
 #include "ml/metrics.h"
 
 namespace saged::ml {
 namespace {
-
-// --- KNN ---------------------------------------------------------------------
-
-TEST(KnnTest, NearestNeighborsVote) {
-  Matrix x = Matrix::FromRows({{0.0}, {0.1}, {0.2}, {10.0}, {10.1}, {10.2}});
-  std::vector<int> y = {0, 0, 0, 1, 1, 1};
-  KnnClassifier knn(3);
-  ASSERT_TRUE(knn.Fit(x, y).ok());
-  Matrix queries = Matrix::FromRows({{0.05}, {10.05}});
-  auto pred = knn.Predict(queries);
-  EXPECT_EQ(pred[0], 0);
-  EXPECT_EQ(pred[1], 1);
-}
-
-TEST(KnnTest, ProbaIsVoteFraction) {
-  Matrix x = Matrix::FromRows({{0.0}, {1.0}, {2.0}});
-  std::vector<int> y = {0, 1, 1};
-  KnnClassifier knn(3);
-  ASSERT_TRUE(knn.Fit(x, y).ok());
-  Matrix q = Matrix::FromRows({{1.0}});
-  auto proba = knn.PredictProba(q);
-  EXPECT_NEAR(proba[0], 2.0 / 3.0, 1e-12);
-}
-
-TEST(KnnTest, KClampedToTrainingSize) {
-  Matrix x = Matrix::FromRows({{0.0}, {1.0}});
-  KnnClassifier knn(10);
-  ASSERT_TRUE(knn.Fit(x, {0, 1}).ok());
-  auto proba = knn.PredictProba(x);
-  EXPECT_NEAR(proba[0], 0.5, 1e-12);
-}
 
 // --- KNN-Shapley -------------------------------------------------------------
 

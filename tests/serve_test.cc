@@ -356,6 +356,31 @@ TEST(SagedServer, UnknownConfigFlagAnswersBadRequest) {
   EXPECT_EQ(reply->error, ServeError::kBadRequest);
 }
 
+// A negative count used to wrap to 2^64 - 1 and throw std::length_error
+// inside the scheduled work item, leaving the daemon unable to dispatch
+// anything after it. Both it and an oversized width are the client's typed
+// error, and the same daemon keeps answering.
+TEST(SagedServer, NegativeW2vDimAnswersBadRequestAndServerKeepsServing) {
+  TestServer ts;
+  SagedClient client;
+  ASSERT_TRUE(client.Connect(ts.options.socket_path).ok());
+  for (const char* flags : {"w2v-dim=-1", "w2v-dim=100000000"}) {
+    DetectRequestMsg msg = WorldRequest(41);
+    msg.config_flags = flags;
+    auto reply = client.Detect(msg);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->error, ServeError::kBadRequest) << flags;
+    EXPECT_NE(reply->error_message.find("w2v"), std::string::npos)
+        << reply->error_message;
+    EXPECT_EQ(reply->request_id, 41u);
+  }
+  auto good = client.Detect(WorldRequest(42));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_TRUE(good->ok()) << good->error_message;
+  EXPECT_EQ(good->request_id, 42u);
+  EXPECT_TRUE(good->response.mask == World().direct.mask);
+}
+
 /// Raw socket helper for malformed-bytes tests (the real client refuses to
 /// send garbage).
 struct RawConnection {

@@ -46,8 +46,8 @@ void WriteFile(const std::string& path, const std::string& content) {
 /// checks the block contract along the way: contiguous first_row indices and
 /// equal-length columns.
 Result<Table> ReadViaBlocks(const std::string& path, size_t block_rows,
-                            size_t chunk_bytes, CsvOptions options = {}) {
-  CsvBlockReader reader(path, block_rows, options, chunk_bytes);
+                            size_t chunk_bytes) {
+  CsvBlockReader reader(path, block_rows, {}, chunk_bytes);
   SAGED_RETURN_NOT_OK(reader.Open());
   std::vector<std::vector<Cell>> columns(reader.NumCols());
   CsvBlock block;
@@ -91,14 +91,14 @@ void ExpectTablesEqual(const Table& a, const Table& b) {
 const size_t kChunkSweeps[] = {1, 2, 3, 7, 16, 4096};
 const size_t kBlockSweeps[] = {1, 2, 3, 1000};
 
-void ExpectParity(const std::string& text, CsvOptions options = {}) {
-  auto expected = ParseCsv(text, options);
+void ExpectParity(const std::string& text) {
+  auto expected = ParseCsv(text);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   std::string path = TempPath("parity.csv");
   WriteFile(path, text);
   for (size_t chunk : kChunkSweeps) {
     for (size_t block : kBlockSweeps) {
-      auto got = ReadViaBlocks(path, block, chunk, options);
+      auto got = ReadViaBlocks(path, block, chunk);
       ASSERT_TRUE(got.ok()) << "chunk=" << chunk << " block=" << block << ": "
                             << got.status().ToString();
       ExpectTablesEqual(*expected, *got);
@@ -145,12 +145,6 @@ TEST(CsvBlockReaderTest, NewlineOnlyFile) { ExpectParity("\n"); }
 TEST(CsvBlockReaderTest, EmptyFile) { ExpectParity(""); }
 
 TEST(CsvBlockReaderTest, HeaderOnlyFile) { ExpectParity("a,b,c\n"); }
-
-TEST(CsvBlockReaderTest, NoHeaderModeSynthesizesNamesAndKeepsFirstRecord) {
-  CsvOptions options;
-  options.has_header = false;
-  ExpectParity("1,2\n3,4\n5,6\n", options);
-}
 
 TEST(CsvBlockReaderTest, RaggedRowFailsWithParseCsvError) {
   const std::string text = "a,b\n1,2\n1,2,3\n";

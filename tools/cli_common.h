@@ -41,8 +41,13 @@ struct Args {
   }
 };
 
+/// saged_serve's pin-all-models switch. It is no registry knob, but like
+/// the registry's presence flags it takes no value on a command line.
+inline constexpr char kWarmFlag[] = "warm";
+
 /// Parses argv[start..) into flags and positionals. Presence flags (the
-/// registry's --stream) need no value; `--name=value` works for all.
+/// registry's --stream, saged_serve's --warm) need no value; `--name=value`
+/// works for all.
 inline Result<Args> ParseArgs(int argc, char** argv, int start) {
   Args args;
   for (int i = start; i < argc; ++i) {
@@ -54,7 +59,7 @@ inline Result<Args> ParseArgs(int argc, char** argv, int start) {
         continue;
       }
       std::string name = a.substr(2);
-      if (core::IsSagedPresenceFlag(name)) {
+      if (core::IsSagedPresenceFlag(name) || name == kWarmFlag) {
         args.flags.emplace_back(name, "1");
         continue;
       }

@@ -1854,6 +1854,144 @@ void RuleNoUnverifiedSimd(const std::vector<FileView>& views,
   }
 }
 
+// ---------------------------------------------------------------------------
+// config-hash-complete: ConfigContentHash claims to digest every knob, so
+// the run ledger can tell two configurations apart. Every data member of
+// SagedConfig, and of the Word2VecOptions it nests, must appear as a member
+// access (`.name`) inside the body of the src/ definition of
+// ConfigContentHash. Matching is by member name, which is enough to catch a
+// knob added without its hash line.
+// ---------------------------------------------------------------------------
+
+struct MemberDecl {
+  std::string name;
+  size_t line = 0;  // 1-based
+};
+
+/// Instance data members of `struct <name> { ... };` in the token stream:
+/// declarations at the struct's own brace depth, minus functions (a '('
+/// before any initializer, or a body), static members, type aliases and
+/// nested types. Empty when the struct is not defined here.
+std::vector<MemberDecl> CollectStructMembers(const std::vector<Token>& toks,
+                                             const std::string& name) {
+  std::vector<MemberDecl> members;
+  size_t open = std::string::npos;
+  for (size_t i = 0; i + 2 < toks.size(); ++i) {
+    if (toks[i].text == "struct" && toks[i + 1].text == name &&
+        toks[i + 2].text == "{") {
+      open = i + 2;
+      break;
+    }
+  }
+  if (open == std::string::npos) return members;
+  size_t close = MatchForward(toks, open, "{", "}");
+  if (close == std::string::npos) return members;
+  static const std::set<std::string>& skipped_leads =
+      *new std::set<std::string>{"static", "using",  "typedef", "friend",
+                                 "enum",   "struct", "class",   "template"};
+  std::vector<const Token*> head;  // declarator tokens before any initializer
+  bool in_init = false;
+  bool is_function = false;
+  auto finish = [&] {
+    if (!is_function && !head.empty() &&
+        skipped_leads.count(head.front()->text) == 0) {
+      for (size_t k = head.size(); k-- > 0;) {
+        if (head[k]->ident) {
+          members.push_back({head[k]->text, head[k]->line});
+          break;
+        }
+      }
+    }
+    head.clear();
+    in_init = false;
+    is_function = false;
+  };
+  for (size_t i = open + 1; i < close; ++i) {
+    const Token& t = toks[i];
+    if (t.text == ";") {
+      finish();
+      continue;
+    }
+    if (t.text == "{") {
+      size_t end = MatchForward(toks, i, "{", "}");
+      if (end == std::string::npos || end > close) break;
+      const bool body = !head.empty() && !in_init &&
+                        (head.back()->text == ")" ||
+                         head.back()->text == "const" ||
+                         head.back()->text == "override" ||
+                         head.back()->text == "noexcept");
+      i = end;
+      if (body) {  // an inline function definition ends without ';'
+        is_function = true;
+        finish();
+      } else {
+        in_init = true;  // brace initializer or a nested type's body
+      }
+      continue;
+    }
+    if (in_init) continue;
+    if (t.text == "[" && head.empty()) {  // a leading [[attribute]]
+      size_t end = MatchForward(toks, i, "[", "]");
+      if (end == std::string::npos || end > close) break;
+      i = end;
+      continue;
+    }
+    if (t.text == "=" || t.text == "[") {  // initializer or array extent
+      in_init = true;
+      continue;
+    }
+    if (t.text == "(") is_function = true;
+    head.push_back(&t);
+  }
+  return members;
+}
+
+void RuleConfigHashComplete(const std::vector<FileView>& views,
+                            const std::vector<std::vector<Token>>& tokens,
+                            std::vector<Finding>* findings) {
+  // Names accessed as `.name` inside the ConfigContentHash definition.
+  std::set<std::string> hashed;
+  bool defined = false;
+  for (size_t v = 0; v < views.size(); ++v) {
+    if (!StartsWith(views[v].file->path, "src/")) continue;
+    const std::vector<Token>& toks = tokens[v];
+    for (size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (toks[i].text != "ConfigContentHash" || toks[i + 1].text != "(") {
+        continue;
+      }
+      size_t params_end = MatchForward(toks, i + 1, "(", ")");
+      if (params_end == std::string::npos || params_end + 1 >= toks.size() ||
+          toks[params_end + 1].text != "{") {
+        continue;  // a declaration or a call
+      }
+      size_t body_end = MatchForward(toks, params_end + 1, "{", "}");
+      if (body_end == std::string::npos) continue;
+      defined = true;
+      for (size_t k = params_end + 1; k + 1 < body_end; ++k) {
+        if (toks[k].text == "." && toks[k + 1].ident) {
+          hashed.insert(toks[k + 1].text);
+        }
+      }
+    }
+  }
+  if (!defined) return;
+  for (size_t v = 0; v < views.size(); ++v) {
+    const std::string& path = views[v].file->path;
+    if (!StartsWith(path, "src/") || !EndsWith(path, ".h")) continue;
+    for (const char* owner : {"SagedConfig", "Word2VecOptions"}) {
+      for (const auto& member : CollectStructMembers(tokens[v], owner)) {
+        if (hashed.count(member.name) > 0) continue;
+        findings->push_back(
+            {"config-hash-complete", path, member.line,
+             std::string(owner) + "::" + member.name +
+                 " is not digested by ConfigContentHash — two runs that "
+                 "differ only in it would share a config hash in the run "
+                 "ledger; hash it next to the other knobs"});
+      }
+    }
+  }
+}
+
 }  // namespace
 
 const std::vector<std::string>& RuleNames() {
@@ -1861,7 +1999,8 @@ const std::vector<std::string>& RuleNames() {
       "no-raw-random",       "no-adhoc-thread",    "no-unchecked-result",
       "no-iostream-in-core", "include-hygiene",    "no-untimed-stage",
       "lock-discipline",     "executor-capture-lifetime",
-      "no-blocking-in-io-loop", "no-unverified-simd", "bad-suppression"};
+      "no-blocking-in-io-loop", "no-unverified-simd", "config-hash-complete",
+      "bad-suppression"};
   return kRules;
 }
 
@@ -1921,6 +2060,7 @@ LintResult RunLint(const std::vector<SourceFile>& files) {
     suppressions.emplace(&view, ParseSuppressions(view, known_rules));
   }
   RuleNoUnverifiedSimd(views, &raw);
+  RuleConfigHashComplete(views, tokens, &raw);
 
   // Apply suppressions.
   std::map<std::string, const FileView*> by_path;

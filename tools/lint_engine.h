@@ -64,6 +64,10 @@
 ///                      with that sibling in at least one tests/ file (the
 ///                      byte-identity parity fixture); anonymous-namespace
 ///                      helpers are exempt
+///   config-hash-complete every data member of SagedConfig and of its
+///                      nested Word2VecOptions is read (as `.member`) in
+///                      the body of ConfigContentHash, so the run ledger's
+///                      config hash covers every knob
 ///
 /// A suppression without a justification (or naming an unknown rule) is
 /// itself reported, as `bad-suppression`.

@@ -190,7 +190,7 @@ int CmdStart(const Args& args) {
       std::strtoull(args.Get("max-queue", "64").c_str(), nullptr, 10);
   options.max_inflight =
       std::strtoull(args.Get("max-inflight", "1").c_str(), nullptr, 10);
-  options.pin_models = !args.Get("warm").empty();
+  options.pin_models = !args.Get(cli::kWarmFlag).empty();
   // A warm start decodes the store's shards in parallel first, so that
   // Start()'s lease over every model finds them all resident.
   core::ModelLease warm;
